@@ -13,8 +13,8 @@ and stay insulated from internal module moves: names re-exported here
 are stable across releases (see ``docs/API.md`` for the signatures and
 the deprecation policy), while importing from deep module paths may
 break when internals are reorganized — such moves keep the old path
-working for one release behind a :class:`DeprecationWarning` shim (see
-``repro.drive.events``).
+working for one release behind a :class:`DeprecationWarning` shim,
+then remove it (see ``docs/API.md``).
 
 The facade groups:
 
@@ -35,8 +35,6 @@ The facade groups:
 """
 
 from __future__ import annotations
-
-import warnings
 
 from repro._version import __version__
 from repro.cache.library_tier import CachedLibrarySystem
@@ -257,37 +255,3 @@ __all__ = [
     "write_result",
     "zipf_serve_stream",
 ]
-
-#: Names demoted from the facade (they were observability internals,
-#: not blessed entry points).  Importing them from here still works
-#: but warns once; use ``repro.obs`` directly.
-_MOVED = ("Subscription", "event_from_record")
-
-#: Names whose deprecation has already been announced.  The guard
-#: makes the warning fire exactly once per name per process, however
-#: the caller's warning filters are configured — repeated accesses on
-#: a hot path must not spam (or, under ``-W error``, crash) the run.
-_warned: set[str] = set()
-
-
-def __getattr__(name: str):
-    if name in _MOVED:
-        if name not in _warned:
-            _warned.add(name)
-            warnings.warn(
-                f"repro.api.{name} is no longer part of the public "
-                "facade; import it from repro.obs instead (this "
-                "fallback will be removed in a future release)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        from repro import obs
-
-        return getattr(obs, name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )
-
-
-def __dir__() -> list[str]:
-    return sorted([*__all__, *_MOVED])

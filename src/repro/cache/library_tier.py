@@ -8,8 +8,8 @@ wraps a fresh multi-drive system and serves lookups from a shared
 (simulated) arrival time plus the configured disk latency; misses flow
 into the backend unchanged.  After every backend batch the fetched
 segments are staged (admission-controlled, failure-filtered) and the
-segments the head passed over are prefetched for free — the same
-policy as the single-drive tier, per drive bay.
+segments the head passed over are prefetched for free — the single-drive
+tier's own :func:`~repro.cache.system.stage_batch`, per drive bay.
 
 The cache is shared across cartridges, so resident segments are keyed
 in a *global* address space: each cartridge (sorted by label) owns a
@@ -29,12 +29,12 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import ClassVar
 
-from repro.cache.prefetch import (
-    DEFAULT_MAX_PREFETCH_PER_BATCH,
-    opportunistic_prefetch,
-)
+from repro.cache.prefetch import DEFAULT_MAX_PREFETCH_PER_BATCH
 from repro.cache.store import SegmentCache
-from repro.cache.system import DEFAULT_CACHE_CAPACITY_SEGMENTS
+from repro.cache.system import (
+    DEFAULT_CACHE_CAPACITY_SEGMENTS,
+    stage_batch,
+)
 from repro.constants import DEFAULT_COALESCE_THRESHOLD
 from repro.exceptions import CacheError, LibraryError, UnknownTape
 from repro.library.events import SimEvent
@@ -57,33 +57,6 @@ class CacheLookup(SimEvent):
     priority: ClassVar[int] = -5
 
     request_index: int
-
-
-class _ShiftedCache:
-    """Admission adapter translating one tape's segments to global keys."""
-
-    def __init__(self, cache: SegmentCache, offset: int) -> None:
-        self._cache = cache
-        self._offset = offset
-
-    def admit(
-        self, segment: int, cost: float = 0.0, prefetch: bool = False
-    ) -> bool:
-        return self._cache.admit(
-            segment + self._offset, cost, prefetch=prefetch
-        )
-
-    def admit_run(
-        self,
-        segments: Iterable[int],
-        costs: Iterable[float],
-        prefetch: bool = False,
-    ) -> int:
-        return self._cache.admit_run(
-            [segment + self._offset for segment in segments],
-            costs,
-            prefetch=prefetch,
-        )
 
 
 class CachedLibrarySystem:
@@ -274,30 +247,14 @@ class CachedLibrarySystem:
             raise LibraryError(
                 "batch completed on a bay with no mounted drive"
             )
-        head = bay.drive.position
-        offset = self._offsets[label]
-        model = self.system.cartridge(label).model
-        ok = result.success
-        seen: set[int] = set()
-        fetched: list[int] = []
-        for position, request in enumerate(schedule):
-            if ok is not None and not ok[position]:
-                continue
-            for segment in range(request.segment, request.end_segment):
-                if segment not in seen:
-                    seen.add(segment)
-                    fetched.append(segment)
-        if fetched:
-            costs = model.locate_times(head, fetched)
-            self.cache.admit_run(
-                [segment + offset for segment in fetched], costs
-            )
-        if self.prefetch and (ok is None or result.all_succeeded):
-            opportunistic_prefetch(
-                _ShiftedCache(self.cache, offset),
-                model,
-                head,
-                schedule.requests,
-                threshold=self.prefetch_threshold,
-                limit=self.max_prefetch_per_batch,
-            )
+        stage_batch(
+            self.cache,
+            self.system.cartridge(label).model,
+            bay.drive.position,
+            schedule,
+            result,
+            key_offset=self._offsets[label],
+            prefetch=self.prefetch,
+            threshold=self.prefetch_threshold,
+            limit=self.max_prefetch_per_batch,
+        )

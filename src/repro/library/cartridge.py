@@ -14,8 +14,8 @@ event-driven multi-drive generalization lives in
 :class:`~repro.library.system.MultiDriveSystem`, which charges the same
 per-exchange costs through a shared robot arm in simulated time.
 
-(These classes moved here from ``repro.online.library``; the old import
-path keeps working through a deprecation shim.)
+(These classes moved here from ``repro.online.library``, which no
+longer exists; ``repro.online`` still re-exports them.)
 """
 
 from __future__ import annotations

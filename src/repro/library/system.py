@@ -24,12 +24,14 @@ paper's Fig. 8/9 sensitivity studies — plus real failures for the
 resilience layer (and the striped-volume degraded reads above it) to
 absorb.
 
-Per-drive batch execution reuses the existing machinery unchanged —
-the configured scheduling algorithm (LOSS/SLTF/SCAN/...), the
-executor, and the resilience layer's retry policy and bounded requeues
-— so a 1-drive, 1-cartridge system with the cartridge preloaded
-reproduces the single-drive serving path bit-identically (the
-equivalence the test suite pins).
+Every bay runs the single-drive system's own batch step
+(:class:`~repro.online.system.BatchStep`: the configured scheduling
+algorithm, the executor, the resilience layer's retries and bounded
+requeues, the degraded-mode trip) — its first half when a batch is
+dispatched, its second when the batch's completion event fires — so a
+1-drive, 1-cartridge system with the cartridge preloaded reproduces
+the single-drive serving path bit-identically (the equivalence the
+test suite pins).
 
 With ``bus=`` the whole library publishes onto one stream: the obs
 events of the single-drive path (queue, schedule, batch, request,
@@ -59,9 +61,9 @@ requeues).
 from __future__ import annotations
 
 import math
-import time
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
+from functools import partial
 
 from repro.drive.simulated import SimulatedDrive
 from repro.exceptions import LibraryError, UnknownTape
@@ -83,26 +85,17 @@ from repro.library.robot import ArmPool, ExchangeJob
 from repro.obs.bus import EventBus
 from repro.obs.events import (
     ArmExchangeRecorded,
-    BatchCompleted,
-    BatchStarted,
-    DegradedMode,
     MountWaitRecorded,
-    RequestCompleted,
-    RequestFailed,
-    ScheduleComputed,
     TapeMounted,
     TapeUnmounted,
 )
 from repro.online.batch_queue import BatchPolicy, BatchQueue
 from repro.online.metrics import ResponseStats
-from repro.online.system import BatchRecord
+from repro.online.system import BatchInFlight, BatchRecord, BatchStep
 from repro.resilience.injection import FaultInjector, FaultPlan
 from repro.resilience.policy import ResilienceConfig
-from repro.scheduling.base import Scheduler, get_scheduler
-from repro.scheduling.estimator import locate_sequence_times
-from repro.scheduling.executor import execute_schedule
+from repro.scheduling.base import Scheduler
 from repro.scheduling.loss import LossScheduler
-from repro.scheduling.request import Request
 
 
 @dataclass(frozen=True)
@@ -130,7 +123,7 @@ def _derived_seed(seed: int, drive_index: int, mount_index: int) -> int:
     ) & 0xFFFFFFFFFFFFFFFF
 
 
-class MultiDriveSystem:
+class MultiDriveSystem(BatchStep):
     """N drives, M cartridges, K robot arms, in simulated time.
 
     Parameters
@@ -249,34 +242,14 @@ class MultiDriveSystem:
             label: BatchQueue(policy=self.policy, bus=bus)
             for label in sorted(self._shelf)
         }
-        self.stats = ResponseStats()
-        self.batches: list[LibraryBatchRecord] = []
-        #: Requests that exhausted their requeue budget.
-        self.failed: list[LibraryRequest] = []
-        #: Times a failed request re-entered its tape's queue.
-        self.requeues = 0
         self.submitted = 0
-        #: Synchronous outcome hooks for layers stacked above the
-        #: library (cache tier, serve gateway).  Called in kernel
-        #: order with the *original* submitted request objects —
-        #: identity survives retries and requeues, so a listener can
-        #: key side state off ``id(request)`` or subclass attributes.
-        self.completion_listeners: list[
-            Callable[[LibraryRequest, float, int], None]
-        ] = []
-        self.failure_listeners: list[
-            Callable[[LibraryRequest], None]
-        ] = []
-        self.batch_listeners: list[Callable[..., None]] = []
-        self._requeue_counts: dict[int, int] = {}
-        self._degraded = False
-        self._fallback_scheduler: Scheduler | None = None
+        self._open_batch_step()
         self._claims: dict[str, int] = {}
         #: Labels whose in-progress mount came from an exchange-policy
         #: preemption: they dispatch the moment the mount completes.
         self._preempt_mounts: set[str] = set()
         self._pending_unload: dict[int, tuple[str, float]] = {}
-        self._in_flight: dict[int, tuple] = {}
+        self._in_flight: dict[int, BatchInFlight] = {}
         self._requests: list[LibraryRequest] = []
         self._mount_count = 0
         #: Completed mount cycles per cartridge label (media wear).
@@ -333,38 +306,6 @@ class MultiDriveSystem:
     def exchanges(self) -> int:
         """Robot exchanges performed (preloads are free and uncounted)."""
         return self.robot.exchanges
-
-    @property
-    def degraded(self) -> bool:
-        """Has the library dropped to its fallback scheduler?"""
-        return self._degraded
-
-    def _active_scheduler(self) -> Scheduler:
-        """The scheduler for the next batch (fallback once degraded)."""
-        if self._degraded:
-            if self._fallback_scheduler is None:
-                self._fallback_scheduler = get_scheduler(
-                    self.resilience.fallback_algorithm
-                )
-            return self._fallback_scheduler
-        return self.scheduler
-
-    def _enter_degraded(self, reason: str, now: float) -> None:
-        """Trip degraded mode (sticky, library-wide: the schedulers
-        are shared, so every bay's later batches use the fallback)."""
-        if self._degraded:
-            return
-        self._degraded = True
-        if self.bus is not None:
-            self.bus.publish(
-                DegradedMode(
-                    seconds=now,
-                    batch_index=len(self.batches) - 1,
-                    reason=reason,
-                    from_algorithm=self.scheduler.name,
-                    to_algorithm=self.resilience.fallback_algorithm,
-                )
-            )
 
     def labels(self) -> list[str]:
         """All cartridge labels, sorted."""
@@ -760,209 +701,45 @@ class MultiDriveSystem:
         self._set_time()
         now = self.kernel.now_seconds
         bay = self.bays[event.drive]
-        queue = self._queues[event.label]
-        batch = queue.flush()
+        batch = self._queues[event.label].flush()
         if not batch:  # pragma: no cover - queues only grow pre-flush
             bay.state = DriveState.IDLE
             self._pump()
             return
-        drive = bay.require_drive()
-        model = self.cartridge(event.label).model
-        requests = [
-            Request(item.segment, item.length) for item in batch
-        ]
-        schedule_started = time.perf_counter()
-        schedule = self._active_scheduler().schedule(
-            model, drive.position, requests
-        )
-        schedule_wall = time.perf_counter() - schedule_started
-        batch_index = len(self.batches)
-        estimated_locates = None
-        if self.bus is not None:
-            self.bus.publish(
-                ScheduleComputed(
-                    seconds=now,
-                    algorithm=schedule.algorithm,
-                    batch_size=len(schedule),
-                    origin=schedule.origin,
-                    estimated_seconds=schedule.estimated_seconds,
-                )
-            )
-            self.bus.publish(
-                BatchStarted(
-                    seconds=now,
-                    batch_index=batch_index,
-                    batch_size=len(batch),
-                    origin=schedule.origin,
-                    drive=event.drive,
-                )
-            )
-            if not schedule.whole_tape:
-                estimated_locates = locate_sequence_times(
-                    model, schedule
-                )
-        result = execute_schedule(
-            drive,
-            schedule,
-            bus=self.bus,
-            estimated_locate_seconds=estimated_locates,
-            base_seconds=now,
-            policy=(
-                None if self.resilience is None
-                else self.resilience.retry
+        flight = self._dispatch_batch(
+            batch,
+            self.cartridge(event.label).model,
+            bay.require_drive(),
+            now,
+            drive_index=event.drive,
+            label=event.label,
+            make_record=partial(
+                LibraryBatchRecord, drive=event.drive, label=event.label
             ),
         )
-        queue_wait = sum(
-            now - item.arrival_seconds for item in batch
-        )
-        self.batches.append(
-            LibraryBatchRecord(
-                start_seconds=now,
-                size=len(batch),
-                algorithm=schedule.algorithm,
-                execution_seconds=result.total_seconds,
-                queue_wait_seconds=queue_wait,
-                locate_seconds=(
-                    result.locate_seconds - result.rewind_seconds
-                ),
-                transfer_seconds=result.transfer_seconds,
-                rewind_seconds=result.rewind_seconds,
-                estimated_seconds=schedule.estimated_seconds,
-                fault_seconds=result.fault_seconds,
-                failed=result.failed_count,
-                drive=event.drive,
-                label=event.label,
-            )
-        )
-        bay.busy_seconds += result.total_seconds
-        self._in_flight[batch_index] = (batch, schedule, result)
+        bay.busy_seconds += flight.result.total_seconds
+        self._in_flight[flight.index] = flight
         self.kernel.schedule(
-            now + result.total_seconds,
+            now + flight.result.total_seconds,
             sim.BatchCompleted(
                 drive=event.drive,
                 label=event.label,
-                batch_index=batch_index,
+                batch_index=flight.index,
             ),
         )
-        if self.resilience is not None:
-            if schedule_wall > self.resilience.schedule_wall_budget_seconds:
-                self._enter_degraded(
-                    f"scheduling took {schedule_wall:.3f} s of wall "
-                    "clock, over budget",
-                    now + result.total_seconds,
-                )
-            elif (
-                result.total_seconds
-                > self.resilience.execution_budget_seconds
-            ):
-                self._enter_degraded(
-                    f"batch execution took {result.total_seconds:.1f} "
-                    "simulated s, over budget",
-                    now + result.total_seconds,
-                )
 
     def _on_batch_completed(self, event: sim.BatchCompleted) -> None:
         self._set_time()
-        now = self.kernel.now_seconds
-        bay = self.bays[event.drive]
-        batch, schedule, result = self._in_flight.pop(
-            event.batch_index
+        self._complete_batch(
+            self._in_flight.pop(event.batch_index),
+            partial(self._requeue, event.label),
         )
-        record = self.batches[event.batch_index]
-        by_key: dict[tuple[int, int], list[LibraryRequest]] = {}
-        for item in batch:
-            by_key.setdefault(
-                (item.segment, item.length), []
-            ).append(item)
-        for position, request in enumerate(schedule):
-            item = by_key[(request.segment, request.length)].pop(0)
-            if result.success is None or result.success[position]:
-                self._requeue_counts.pop(id(item), None)
-                self._complete(
-                    item,
-                    record.start_seconds
-                    + float(result.completion_seconds[position]),
-                    position,
-                    event.drive,
-                )
-            else:
-                self._handle_failure(
-                    item, position, event.label, now
-                )
-        if self.bus is not None:
-            self.bus.publish(
-                BatchCompleted(
-                    seconds=now,
-                    batch_index=event.batch_index,
-                    algorithm=record.algorithm,
-                    batch_size=record.size,
-                    queue_wait_seconds=record.queue_wait_seconds,
-                    locate_seconds=record.locate_seconds,
-                    transfer_seconds=record.transfer_seconds,
-                    rewind_seconds=record.rewind_seconds,
-                    total_seconds=record.execution_seconds,
-                    estimated_seconds=record.estimated_seconds,
-                    fault_seconds=record.fault_seconds,
-                    drive=event.drive,
-                )
-            )
-        for listener in self.batch_listeners:
-            listener(event.label, event.drive, batch, schedule, result)
+        bay = self.bays[event.drive]
         bay.state = DriveState.IDLE
         bay.batches += 1
         self._pump()
 
-    def _complete(
-        self,
-        item: LibraryRequest,
-        completion_seconds: float,
-        position: int,
-        drive_index: int,
-    ) -> None:
-        self.stats.record(item.arrival_seconds, completion_seconds)
-        for listener in self.completion_listeners:
-            listener(item, completion_seconds, drive_index)
-        if self.bus is not None:
-            self.bus.publish(
-                RequestCompleted(
-                    seconds=completion_seconds,
-                    position=position,
-                    segment=item.segment,
-                    length=item.length,
-                    arrival_seconds=item.arrival_seconds,
-                    completion_seconds=completion_seconds,
-                    drive=drive_index,
-                )
-            )
-
-    def _handle_failure(
-        self,
-        item: LibraryRequest,
-        position: int,
-        label: str,
-        now: float,
-    ) -> None:
-        count = self._requeue_counts.get(id(item), 0)
-        if (
-            self.resilience is not None
-            and count < self.resilience.max_requeues
-        ):
-            self._requeue_counts[id(item)] = count + 1
-            self.requeues += 1
-            self._queues[label].push(item)
-            self._schedule_deadline(label, item.arrival_seconds)
-            return
-        self._requeue_counts.pop(id(item), None)
-        self.failed.append(item)
-        for listener in self.failure_listeners:
-            listener(item)
-        if self.bus is not None:
-            self.bus.publish(
-                RequestFailed(
-                    seconds=now,
-                    position=position,
-                    segment=item.segment,
-                    attempts=count + 1,
-                    reason="requeue budget exhausted",
-                )
-            )
+    def _requeue(self, label: str, item: LibraryRequest) -> None:
+        """Put a failed request back on its tape's queue."""
+        self._queues[label].push(item)
+        self._schedule_deadline(label, item.arrival_seconds)

@@ -18,8 +18,8 @@ round-trips to identical event objects.
 
 This module also hosts :class:`DriveEvent`/:class:`EventKind`, the
 simulated drive's own operation log, which this taxonomy generalizes
-(they moved here from ``repro.drive.events``; the old import path keeps
-working through a deprecation shim).
+(they moved here from ``repro.drive.events``, which no longer exists;
+``repro.drive`` still re-exports them).
 """
 
 from __future__ import annotations

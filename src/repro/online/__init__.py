@@ -7,8 +7,7 @@ from repro.online.batch_queue import (
 )
 
 # Canonical home since the repro.library subsystem; re-exported here for
-# compatibility (importing the submodule directly stays warning-free,
-# unlike the repro.online.library shim).
+# compatibility (the old repro.online.library module is gone).
 from repro.library.cartridge import (
     Cartridge,
     DEFAULT_EXCHANGE_SECONDS,

@@ -1,5 +1,7 @@
 """The cached online system (HSM front-end)."""
 
+import math
+
 import pytest
 
 from repro.cache import (
@@ -134,3 +136,33 @@ class TestCachedSystem:
         assert stats.hit_bytes == 32 * 1024
         assert stats.miss_bytes == 32 * 1024
         assert stats.byte_hit_rate == pytest.approx(0.5)
+
+    def test_hit_waits_for_the_read_that_stages_it(self):
+        # The first request's batch reads segment 200 from 0 s to
+        # ~153 s; the second request arrives at 1 s, mid-batch, so it
+        # misses and is served by the next batch (the event-driven
+        # tier's answer).  Staging at dispatch let it hit at 1 s.
+        system = CachedTertiaryStorageSystem(geometry=tiny_tape(seed=3))
+        stats = system.run([TimedRequest(0.0, 200), TimedRequest(1.0, 200)])
+        first, second = stats.samples
+        assert first == pytest.approx(153.46, abs=0.01)
+        assert second == pytest.approx(201.14, abs=0.01)
+        assert system.cache_stats.hits == 0
+
+    def test_arrival_exactly_at_the_batch_end_looks_up_first(self):
+        # Same tie order as the event-driven tier: a lookup at the
+        # batch's end instant runs before the batch's staging.
+        tape = tiny_tape(seed=3)
+        probe = CachedTertiaryStorageSystem(geometry=tape)
+        (end,) = probe.run([TimedRequest(0.0, 200)]).samples
+        at_end = CachedTertiaryStorageSystem(geometry=tape)
+        at_end.run([TimedRequest(0.0, 200), TimedRequest(end, 200)])
+        after = CachedTertiaryStorageSystem(geometry=tape)
+        after.run(
+            [
+                TimedRequest(0.0, 200),
+                TimedRequest(math.nextafter(end, math.inf), 200),
+            ]
+        )
+        assert at_end.cache_stats.hits == 0
+        assert after.cache_stats.hits == 1

@@ -6,6 +6,10 @@ the cartridge preloaded must be **bit-identical** to the single-drive
 same response-time samples, same batch boundaries, same failure set.
 This is the contract that lets the multi-drive kernel claim it
 *generalizes* the paper's serving loop rather than approximating it.
+Both loops run the same batch step
+(:class:`~repro.online.system.BatchStep`), so with a bus attached they
+also publish the same events, and the two staging-cache tiers over
+them serve the same hits.
 
 The comparison is exact (``==`` on floats): both paths are
 deterministic, so any divergence is an ordering or accounting bug in
@@ -16,15 +20,23 @@ intentional change).
 
 from __future__ import annotations
 
+import dataclasses
 import json
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cache import (
+    CachedLibrarySystem,
+    CachedTertiaryStorageSystem,
+    SegmentCache,
+)
 from repro.geometry import tiny_tape
 from repro.library import Cartridge, LibraryRequest, MultiDriveSystem
+from repro.obs import EventBus
 from repro.online import BatchPolicy, TertiaryStorageSystem
 from repro.resilience import FaultPlan
 from repro.scheduling import get_scheduler
@@ -35,11 +47,16 @@ GOLDEN_PATH = Path(__file__).parent / "golden" / "equivalence.json"
 LABEL = "only"
 
 
-def workload(seed, count, horizon_seconds, total_segments):
-    """A deterministic request stream (arrival-sorted, uniform targets)."""
+def workload(seed, count, horizon_seconds, total_segments, hot_set=None):
+    """A deterministic request stream (arrival-sorted, uniform targets;
+    with ``hot_set``, targets repeat within that many segments)."""
     rng = np.random.default_rng(seed)
     arrivals = np.sort(rng.uniform(0.0, horizon_seconds, size=count))
-    segments = rng.integers(0, total_segments, size=count)
+    if hot_set is None:
+        segments = rng.integers(0, total_segments, size=count)
+    else:
+        hot = rng.choice(total_segments, size=hot_set, replace=False)
+        segments = hot[rng.integers(0, hot_set, size=count)]
     return [
         LibraryRequest(
             arrival_seconds=float(arrivals[k]),
@@ -51,23 +68,42 @@ def workload(seed, count, horizon_seconds, total_segments):
 
 
 def run_both(requests, geometry, algorithm="LOSS", policy=None,
-             fault_plan=None):
-    """Run the same workload through both serving paths."""
+             fault_plan=None, buses=(None, None), cache_segments=None):
+    """Run the same workload through both serving paths.
+
+    ``buses`` instruments the single-drive and the library path;
+    ``cache_segments`` puts a staging cache of that many segments in
+    front of each (the single-drive tier and the library tier).
+    """
     policy = policy or BatchPolicy(max_batch=16)
-    single = TertiaryStorageSystem(
-        geometry=geometry,
-        scheduler=get_scheduler(algorithm),
-        policy=policy,
-        fault_plan=fault_plan,
-    )
+    single_bus, multi_bus = buses
+    common = dict(policy=policy, fault_plan=fault_plan)
     multi = MultiDriveSystem(
         [Cartridge(LABEL, geometry)],
         drives=1,
         scheduler=get_scheduler(algorithm),
-        policy=policy,
-        fault_plan=fault_plan,
+        bus=multi_bus,
         preload=[LABEL],
+        **common,
     )
+    if cache_segments is None:
+        single = TertiaryStorageSystem(
+            geometry=geometry,
+            scheduler=get_scheduler(algorithm),
+            bus=single_bus,
+            **common,
+        )
+    else:
+        single = CachedTertiaryStorageSystem(
+            geometry=geometry,
+            scheduler=get_scheduler(algorithm),
+            bus=single_bus,
+            cache=SegmentCache(cache_segments),
+            **common,
+        )
+        multi = CachedLibrarySystem(
+            system=multi, cache=SegmentCache(cache_segments)
+        )
     single_stats = single.run(
         [request.timed() for request in requests]
     )
@@ -158,6 +194,71 @@ class TestSingleDriveEquivalence:
             assert ours.rewind_seconds == theirs.rewind_seconds
             assert ours.drive == 0
             assert ours.label == LABEL
+
+
+    @pytest.mark.parametrize(
+        "fault_plan",
+        [None, FaultPlan(locate_fault_probability=0.3, seed=17)],
+        ids=["clean", "locate-faults"],
+    )
+    def test_bus_streams_match_kind_by_kind(self, fault_plan):
+        # Both loops run one batch step, so per event kind they publish
+        # the same sequence.  Only the queue.admit stamp differs: the
+        # batch loop stamps an admission where it admits (a request
+        # arriving mid-batch is admitted at the batch end), the kernel
+        # at arrival.
+        geometry = tiny_tape(seed=3)
+        requests = workload(
+            13, count=60, horizon_seconds=3000.0,
+            total_segments=geometry.total_segments,
+        )
+        buses = (EventBus(), EventBus())
+        single_events, multi_events = (bus.collect() for bus in buses)
+        run_both(requests, geometry, fault_plan=fault_plan, buses=buses)
+
+        def by_kind(events):
+            kinds = defaultdict(list)
+            for event in events:
+                if event.name == "queue.admit":
+                    event = dataclasses.replace(event, seconds=0.0)
+                kinds[event.name].append(repr(event))
+            return kinds
+
+        single_kinds, multi_kinds = by_kind(single_events), by_kind(
+            multi_events
+        )
+        assert sorted(multi_kinds) == sorted(single_kinds)
+        for kind, events in single_kinds.items():
+            assert multi_kinds[kind] == events, kind
+        if fault_plan is not None:
+            assert single_kinds["request.retry"]
+
+
+class TestCachedEquivalence:
+    """The two staging tiers over the two loops serve the same hits."""
+
+    @given(
+        workload_seed=st.integers(min_value=0, max_value=40),
+        faults=st.booleans(),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_samples_and_cache_stats_match(self, workload_seed, faults):
+        geometry = tiny_tape(seed=3)
+        requests = workload(
+            workload_seed, count=60, horizon_seconds=4000.0,
+            total_segments=geometry.total_segments, hot_set=25,
+        )
+        plan = (
+            FaultPlan(locate_fault_probability=0.2, seed=workload_seed)
+            if faults else None
+        )
+        single, single_stats, multi, multi_stats = run_both(
+            requests, geometry, fault_plan=plan, cache_segments=40,
+        )
+        assert sorted(multi_stats.samples) == sorted(single_stats.samples)
+        assert multi.cache_stats == single.cache_stats
+        assert single.cache_stats.hits > 0
+        assert multi.lost == 0
 
 
 class TestGoldenEquivalence:
