@@ -19,9 +19,11 @@ spot, not a coin flipped per run.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from repro.model.perturb import ModelWrapper
+from repro.model.perturb import MASK64, ModelWrapper
 
 #: How far the mechanism backs up before the second approach.
 DEFAULT_BACKUP_SECTIONS = 0.5
@@ -51,6 +53,17 @@ def _as_position_array(values, name: str) -> np.ndarray:
     return array.astype(np.uint64)
 
 
+def _as_position(value, name: str) -> int:
+    """Scalar :func:`_as_position_array`: the same checks, one position."""
+    if isinstance(value, (float, np.floating)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite")
+        value = round(value)
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0")
+    return int(value)
+
+
 class FaultyModel(ModelWrapper):
     """Locate-time model with deterministic positioning retries."""
 
@@ -69,6 +82,7 @@ class FaultyModel(ModelWrapper):
         self.retry_probability = float(retry_probability)
         self.backup_sections = float(backup_sections)
         self.seed = int(seed)
+        self._salt = (self.seed * 0x2545F491 + 0x9E3779B9) & MASK64
 
     def _fault_mask(self, sources, destinations) -> np.ndarray:
         """Deterministic Bernoulli(retry_probability) per (src, dst)."""
@@ -77,12 +91,25 @@ class FaultyModel(ModelWrapper):
             * np.uint64(0x9E3779B97F4A7C15)
             ^ _as_position_array(destinations, "destinations")
             * np.uint64(0xD6E8FEB86659FD93)
-            ^ np.uint64(self.seed * 0x2545F491 + 0x9E3779B9)
+            ^ np.uint64(self._salt)
         )
         mix ^= mix >> np.uint64(33)
         mix *= np.uint64(0xC2B2AE3D27D4EB4F)
         mix ^= mix >> np.uint64(29)
         unit = mix.astype(np.float64) / float(2**64)
+        return unit < self.retry_probability
+
+    def _fault_one(self, source, destination) -> bool:
+        """Scalar :meth:`_fault_mask` on Python ints masked to 64 bits."""
+        mix = (
+            _as_position(source, "sources") * 0x9E3779B97F4A7C15
+            ^ _as_position(destination, "destinations") * 0xD6E8FEB86659FD93
+            ^ self._salt
+        ) & MASK64
+        mix ^= mix >> 33
+        mix = (mix * 0xC2B2AE3D27D4EB4F) & MASK64
+        mix ^= mix >> 29
+        unit = float(mix) / float(2**64)
         return unit < self.retry_probability
 
     def retry_penalty_seconds(self) -> float:
@@ -103,3 +130,9 @@ class FaultyModel(ModelWrapper):
         return times + np.where(
             faults, self.retry_penalty_seconds(), 0.0
         )
+
+    def _transform_one(
+        self, source: int, destination: int, time: float
+    ) -> float:
+        fault = self._fault_one(source, destination)
+        return time + (self.retry_penalty_seconds() if fault else 0.0)

@@ -226,6 +226,33 @@ class TapeGeometry:
         soi = self._seg_soi[segment]
         return self._scan_target_phys[track, soi]
 
+    # -- single-segment lookups as Python scalars ----------------------------
+
+    def segment_fields(self, segment: int) -> tuple[int, float, int]:
+        """``(track, physical position, ordinal section)`` of one segment.
+
+        The same values as :meth:`track_of`, :meth:`phys_of` and
+        :meth:`ordinal_section_of`, as Python scalars, for the
+        locate model's single-pair kernel.
+        """
+        return (
+            self._seg_track.item(segment),
+            self._seg_phys.item(segment),
+            self._seg_soi.item(segment),
+        )
+
+    def scan_fields(
+        self, track: int, ordinal_section: int
+    ) -> tuple[float, int]:
+        """``(scan target physical position, track direction)`` for a
+        destination in ``ordinal_section`` of ``track``, as Python
+        scalars (see :meth:`scan_target_phys` and :meth:`direction_of`).
+        """
+        return (
+            self._scan_target_phys.item(track, ordinal_section),
+            self._track_dir.item(track),
+        )
+
     # -- coordinates ---------------------------------------------------------
 
     def coordinate_of(self, segment: int) -> SegmentCoordinate:

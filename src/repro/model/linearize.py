@@ -81,11 +81,16 @@ class LinearizedModel:
     # -- LocateTimeModel surface -------------------------------------------
 
     def locate_time(self, source: int, destination: int) -> float:
-        """Linear locate seconds from ``source`` to ``destination``."""
-        times = self.locate_times(
-            source, np.asarray([destination], dtype=np.int64)
+        """Linear locate seconds from ``source`` to ``destination``.
+
+        Scalar twin of :meth:`_times`, bit-identical to
+        ``float(self.locate_times(source, [destination])[0])``.
+        """
+        geo = self.geometry
+        distance = abs(
+            geo.segment_fields(destination)[1] - geo.segment_fields(source)[1]
         )
-        return float(times[0])
+        return distance * self.seconds_per_section
 
     def locate_times(self, source: int, destinations) -> np.ndarray:
         """Vectorized :meth:`locate_time`: one source, many destinations."""

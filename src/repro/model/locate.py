@@ -102,11 +102,30 @@ class LocateTimeModel:
         Both arguments are absolute segment numbers; the head is assumed
         to be parked at the start of ``source``, and ends positioned to
         read ``destination``.
+
+        A pure-Python twin of :meth:`_times` for one pair, bit-identical
+        to ``float(self.locate_times(source, [destination])[0])``: the
+        drive prices every executed locate here, and a 1-element array
+        round trip costs an order of magnitude more than the arithmetic.
         """
-        times = self.locate_times(
-            source, np.asarray([destination], dtype=np.int64)
+        geo = self.geometry
+        src_track, src_phys, src_soi = geo.segment_fields(source)
+        dst_track, dst_phys, dst_soi = geo.segment_fields(destination)
+        if (
+            src_track == dst_track
+            and destination >= source
+            and dst_soi - src_soi <= 2
+        ):
+            return abs(dst_phys - src_phys) * self.read_seconds_per_section
+        target, read_dir = geo.scan_fields(dst_track, dst_soi)
+        scan_dist = abs(target - src_phys)
+        reversal = scan_dist > 1e-12 and (target > src_phys) != (read_dir > 0)
+        return (
+            self.reposition_seconds
+            + scan_dist * self.scan_seconds_per_section
+            + abs(dst_phys - target) * self.read_seconds_per_section
+            + (self.reversal_seconds if reversal else 0.0)
         )
-        return float(times[0])
 
     def locate_times(self, source: int, destinations) -> np.ndarray:
         """Vectorized :meth:`locate_time` for one source, many destinations."""

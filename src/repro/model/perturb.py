@@ -25,6 +25,9 @@ import numpy as np
 
 from repro.model.locate import LocateTimeModel
 
+#: Keeps the scalar hashes in the 64-bit arithmetic of the uint64 ones.
+MASK64 = 0xFFFFFFFFFFFFFFFF
+
 
 class ModelWrapper:
     """Base class: delegates to a wrapped model, transforms its output."""
@@ -40,11 +43,18 @@ class ModelWrapper:
     def _transform(self, sources, destinations, times) -> np.ndarray:
         raise NotImplementedError
 
+    def _transform_one(
+        self, source: int, destination: int, time: float
+    ) -> float:
+        """Scalar :meth:`_transform` for one pair, bit-identical to it."""
+        raise NotImplementedError
+
     def locate_time(self, source: int, destination: int) -> float:
-        times = self.locate_times(
-            source, np.asarray([destination], dtype=np.int64)
+        """Scalar locate time, bit-identical to
+        ``float(self.locate_times(source, [destination])[0])``."""
+        return self._transform_one(
+            source, destination, self.base.locate_time(source, destination)
         )
-        return float(times[0])
 
     def locate_times(self, source: int, destinations) -> np.ndarray:
         destinations = np.asarray(destinations, dtype=np.int64)
@@ -110,6 +120,15 @@ class EvenOddPerturbation(ModelWrapper):
         )
         return np.maximum(0.0, times + offset)
 
+    def _transform_one(
+        self, source: int, destination: int, time: float
+    ) -> float:
+        offset = (
+            self.error_seconds if destination % 2 == 0
+            else -self.error_seconds
+        )
+        return max(0.0, time + offset)
+
 
 class ShortLocateDeviation(ModelWrapper):
     """Ground-truth deviation concentrated on short locates.
@@ -144,18 +163,32 @@ class ShortLocateDeviation(ModelWrapper):
         self.bias_seconds = float(bias_seconds)
         self.noise_seconds = float(noise_seconds)
         self.seed = int(seed)
+        self._salt = (self.seed * 0x165667B1 + 0x27D4EB2F) & MASK64
 
     def _pair_noise(self, sources, destinations) -> np.ndarray:
         """Deterministic pseudo-random value in [-1, 1] per (src, dst)."""
         mix = (
             sources.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
             ^ destinations.astype(np.uint64) * np.uint64(0xC2B2AE3D27D4EB4F)
-            ^ np.uint64(self.seed * 0x165667B1 + 0x27D4EB2F)
+            ^ np.uint64(self._salt)
         )
         mix ^= mix >> np.uint64(33)
         mix *= np.uint64(0xFF51AFD7ED558CCD)
         mix ^= mix >> np.uint64(33)
         unit = mix.astype(np.float64) / float(2**64)
+        return 2.0 * unit - 1.0
+
+    def _pair_noise_one(self, source: int, destination: int) -> float:
+        """Scalar :meth:`_pair_noise` on Python ints masked to 64 bits."""
+        mix = (
+            source * 0x9E3779B97F4A7C15
+            ^ destination * 0xC2B2AE3D27D4EB4F
+            ^ self._salt
+        ) & MASK64
+        mix ^= mix >> 33
+        mix = (mix * 0xFF51AFD7ED558CCD) & MASK64
+        mix ^= mix >> 33
+        unit = float(mix) / float(2**64)
         return 2.0 * unit - 1.0
 
     def _transform(self, sources, destinations, times) -> np.ndarray:
@@ -165,3 +198,10 @@ class ShortLocateDeviation(ModelWrapper):
         )
         bias = np.where(times < self.short_seconds, self.bias_seconds, 0.0)
         return np.maximum(0.0, times + bias + noise)
+
+    def _transform_one(
+        self, source: int, destination: int, time: float
+    ) -> float:
+        noise = self.noise_seconds * self._pair_noise_one(source, destination)
+        bias = self.bias_seconds if time < self.short_seconds else 0.0
+        return max(0.0, time + bias + noise)

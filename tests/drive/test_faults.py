@@ -53,6 +53,17 @@ class TestFaultyModel:
         second = faulty.locate_times(7, destinations)
         np.testing.assert_array_equal(first, second)
 
+    @pytest.mark.parametrize("seed", [-2, -5, 2**40])
+    def test_seeds_outside_uint64_locate(self, tiny_model, seed):
+        # Regression: the hash salt was built as np.uint64 of the raw
+        # seed product, which overflowed at the first locate.
+        faulty = FaultyModel(tiny_model, retry_probability=0.3, seed=seed)
+        destinations = np.arange(60, 120)
+        vector = faulty.locate_times(5, destinations)
+        scalars = [faulty.locate_time(5, int(d)) for d in destinations]
+        np.testing.assert_array_equal(vector, scalars)
+        assert (vector > tiny_model.locate_times(5, destinations)).any()
+
     def test_retry_penalty_positive(self, tiny_model):
         faulty = FaultyModel(tiny_model, backup_sections=0.5)
         assert faulty.retry_penalty_seconds() == pytest.approx(
@@ -100,6 +111,13 @@ class TestFaultMaskValidation:
             faulty._fault_mask([1.0, 2.0, 3.0], [9.0, 8.0, 7.0]),
             faulty._fault_mask([1, 2, 3], [9, 8, 7]),
         )
+
+    def test_scalar_locate_rejects_negative_positions(self, tiny_model):
+        faulty = FaultyModel(tiny_model, retry_probability=0.2, seed=1)
+        with pytest.raises(ValueError, match="sources must be >= 0"):
+            faulty.locate_time(-1, 5)
+        with pytest.raises(ValueError, match="destinations must be >= 0"):
+            faulty.locate_time(3, -7)
 
     def test_locate_times_still_accept_float_destinations(
         self, tiny_model

@@ -5,7 +5,9 @@ import pytest
 from repro.constants import SEGMENT_TRANSFER_SECONDS
 from repro.drive import DriveEvent, EventKind, SimulatedDrive
 from repro.exceptions import DriveError, SegmentOutOfRange
-from repro.model import rewind_time
+from repro.library import MediaAgingModel
+from repro.model import LocateTimeModel, ModelWrapper, rewind_time
+from repro.resilience import FaultInjector, FaultPlan
 
 
 @pytest.fixture()
@@ -30,6 +32,41 @@ class TestLocate:
     def test_rejects_bad_segment(self, drive, tiny):
         with pytest.raises(SegmentOutOfRange):
             drive.locate(tiny.total_segments)
+
+
+def _refuse_array_kernels(monkeypatch):
+    """Make every array kernel of the model stack raise."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("array kernel on the per-locate path")
+
+    monkeypatch.setattr(LocateTimeModel, "_times", refuse)
+    wrappers = [ModelWrapper]
+    while wrappers:
+        cls = wrappers.pop()
+        wrappers.extend(cls.__subclasses__())
+        if "_transform" in vars(cls):
+            monkeypatch.setattr(cls, "_transform", refuse)
+
+
+class TestScalarHotPath:
+    """Executed locates price one pair with the scalar kernel; the
+    1-element array path must not come back on the drive."""
+
+    def test_simulated_drive_locate(self, tiny_model, monkeypatch):
+        drive = SimulatedDrive(tiny_model, initial_position=40)
+        expected = float(tiny_model.locate_times(40, [123])[0])
+        _refuse_array_kernels(monkeypatch)
+        assert drive.locate(123) == expected
+
+    def test_fault_injector_over_aged_drive(self, tiny_model, monkeypatch):
+        aged = MediaAgingModel().aged_model(tiny_model, "tape-7", cycles=12)
+        drive = FaultInjector(
+            SimulatedDrive(aged, initial_position=300), FaultPlan()
+        )
+        expected = float(aged.locate_times(300, [17])[0])
+        _refuse_array_kernels(monkeypatch)
+        assert drive.locate(17) == expected
 
 
 class TestRead:

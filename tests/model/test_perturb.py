@@ -113,7 +113,17 @@ class TestShortLocateDeviation:
         deviation = ShortLocateDeviation(tiny_model)
         value = deviation.locate_time(0, 77)
         array = deviation.locate_times(0, np.asarray([77]))
-        assert value == pytest.approx(float(array[0]))
+        assert value == float(array[0])
+
+    @pytest.mark.parametrize("seed", [-2, -5, 2**40])
+    def test_seeds_outside_uint64_locate(self, tiny_model, seed):
+        # Regression: the hash salt was built as np.uint64 of the raw
+        # seed product, which overflowed at the first locate.
+        deviation = ShortLocateDeviation(tiny_model, seed=seed)
+        destinations = np.arange(60, 90)
+        vector = deviation.locate_times(5, destinations)
+        scalars = [deviation.locate_time(5, int(d)) for d in destinations]
+        np.testing.assert_array_equal(vector, scalars)
 
 
 def test_wrapper_requires_transform(tiny_model):
@@ -122,6 +132,8 @@ def test_wrapper_requires_transform(tiny_model):
     wrapper = ModelWrapper(tiny_model)
     with pytest.raises(NotImplementedError):
         wrapper.locate_times(0, np.asarray([1]))
+    with pytest.raises(NotImplementedError):
+        wrapper.locate_time(0, 1)
 
 
 def test_stacked_wrappers(tiny):

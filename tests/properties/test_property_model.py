@@ -1,14 +1,21 @@
 """Property-based tests of the locate-time model."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.constants import (
     READ_SECONDS_PER_SECTION,
     SCAN_SECONDS_PER_SECTION,
 )
+from repro.drive import FaultyModel
 from repro.geometry import tiny_tape
-from repro.model import EvenOddPerturbation, LocateTimeModel
+from repro.model import (
+    EvenOddPerturbation,
+    LinearizedModel,
+    LocateTimeModel,
+    ShortLocateDeviation,
+)
 
 _TAPE = tiny_tape(seed=11, tracks=4)
 _MODEL = LocateTimeModel(_TAPE)
@@ -46,6 +53,69 @@ def test_vectorized_equals_scalar(source, data):
     vector = _MODEL.locate_times(source, destinations)
     for destination, value in zip(destinations, vector):
         assert value == _MODEL.locate_time(source, int(destination))
+
+
+_ALL_SEGMENTS = np.arange(_TAPE.total_segments)
+_TRACK_OF = _TAPE.track_of(_ALL_SEGMENTS)
+_SOI_OF = _TAPE.ordinal_section_of(_ALL_SEGMENTS)
+#: Segment 0, the last segment, and both sides of every track boundary.
+_EDGE_SEGMENTS = sorted(
+    {0, _TAPE.total_segments - 1}
+    | {
+        int(first) + step
+        for first in _TAPE.track_first_segments()[1:-1]
+        for step in (-1, 0, 1)
+    }
+)
+
+
+@st.composite
+def edge_biased_pairs(draw):
+    """``(source, destination)`` pairs drawn mostly where the model's
+    branches meet: self-locates, the read-through window edge (ordinal
+    sections 2 vs 3 ahead on the same track), destinations just behind
+    the source, track boundaries and the two ends of the tape."""
+    source = draw(st.one_of(segments, st.sampled_from(_EDGE_SEGMENTS)))
+    kind = draw(st.sampled_from(("any", "self", "window", "behind", "edge")))
+    if kind == "any":
+        return source, draw(segments)
+    if kind == "self":
+        return source, source
+    if kind == "behind":
+        return source, max(0, source - draw(st.integers(1, 2)))
+    if kind == "edge":
+        return source, draw(st.sampled_from(_EDGE_SEGMENTS))
+    same_track = _TRACK_OF == _TRACK_OF[source]
+    gap = draw(st.sampled_from((2, 3)))
+    window = np.flatnonzero(same_track & (_SOI_OF == _SOI_OF[source] + gap))
+    if window.size == 0:
+        return source, int(draw(st.sampled_from(np.flatnonzero(same_track))))
+    # The nearest and the farthest segment of that section.
+    return source, int(draw(st.sampled_from((window[0], window[-1]))))
+
+
+_SCALAR_MODELS = {
+    "base": _MODEL,
+    **{
+        f"short-seed{seed}": ShortLocateDeviation(_MODEL, seed=seed)
+        for seed in (0, 1, -2, 2**40)
+    },
+    "even-odd": EvenOddPerturbation(_MODEL, 3.0),
+    "faulty": FaultyModel(_MODEL, retry_probability=0.3, seed=4),
+    "linearized": LinearizedModel(_MODEL),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SCALAR_MODELS))
+@given(pair=edge_biased_pairs())
+@settings(max_examples=120, deadline=None)
+def test_scalar_kernel_is_bitwise_vector_kernel(name, pair):
+    model = _SCALAR_MODELS[name]
+    source, destination = pair
+    value = model.locate_time(source, destination)
+    expected = float(model.locate_times(source, [destination])[0])
+    assert type(value) is float
+    assert np.float64(value).tobytes() == np.float64(expected).tobytes()
 
 
 @given(source=segments, destination=segments,
