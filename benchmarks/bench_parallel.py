@@ -72,9 +72,8 @@ def test_workers4_bit_identical_speedup(benchmark):
 
 
 def test_workers2_bit_identical(benchmark):
-    """The identity guarantee at a second worker count (and the cost
-    of the chunked path itself relative to the legacy loop is visible
-    in the timing columns across the two benches)."""
+    """The identity guarantee at a second worker count (the timing
+    columns across the two benches show how the fan-out scales)."""
     config = _config()
     serial = run_per_locate(
         config, origin_at_start=False, algorithms=_ALGORITHMS,

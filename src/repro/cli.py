@@ -134,13 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--legacy-seeds", action="store_true",
-        help=(
-            "replay the pre-parallel sequential lrand48 stream "
-            "(serial only) instead of derived per-trial seed streams"
-        ),
-    )
-    parser.add_argument(
         "--chart", action="store_true",
         help="also render figures 4/5 as ASCII log-log charts",
     )
@@ -400,17 +393,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         parser.error("--cache-capacity must be >= 1 segment")
     if args.workers < 0:
         parser.error("--workers must be >= 0 (0 = all CPUs)")
-    if args.legacy_seeds and args.workers not in (0, 1):
-        parser.error(
-            "--legacy-seeds replays one sequential stream and "
-            "requires --workers 1"
-        )
     config = ExperimentConfig(
         tape_seed=args.tape_seed,
         workload_seed=args.workload_seed,
         scale=args.scale,
         max_length=args.max_length,
-        seed_mode="legacy" if args.legacy_seeds else "per-trial",
     )
     if args.experiment == "cache-sim":
         result = cache_sim.main(

@@ -44,7 +44,6 @@ from repro.experiments.parallel import (
     SweepSpec,
     chunk_plan,
     resolve_workers,
-    run_per_locate_sweep,
 )
 from repro.experiments.report import format_table, print_table
 from repro.experiments.result import TabularResult
@@ -99,7 +98,6 @@ __all__ = [
     "render_series",
     "resolve_workers",
     "run_per_locate",
-    "run_per_locate_sweep",
     "run_validation",
     "section3_stats",
     "seed_stability",

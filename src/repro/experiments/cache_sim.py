@@ -21,6 +21,7 @@ from repro.cache.policies import get_policy
 from repro.cache.store import SegmentCache
 from repro.cache.system import CachedTertiaryStorageSystem
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.parallel import execute_plan
 from repro.experiments.report import print_table
 from repro.experiments.result import TabularResult
 from repro.geometry.generator import generate_tape
@@ -123,21 +124,16 @@ def _simulate(
     return system
 
 
-def _run_capacity_point(
-    tape,
-    requests: list[TimedRequest],
-    capacity: int,
-    max_batch: int,
-    prefetch: bool,
-    policy: str,
-    admission: str,
-) -> CacheSimPoint:
+def _capacity_chunk(spec: tuple, capacity: int) -> CacheSimPoint:
     """One cache-on run — an independent, picklable work unit.
 
-    The capacity sweep replays the same request stream per capacity,
-    so each point is deterministic in isolation and the sweep
-    parallelizes trivially (identical results for any worker count).
+    ``spec`` is ``(tape, requests, max_batch, prefetch, policy,
+    admission)``.  The capacity sweep replays the same request stream
+    per capacity, so each point is deterministic in isolation and the
+    sweep parallelizes trivially (identical results for any worker
+    count).
     """
+    tape, requests, max_batch, prefetch, policy, admission = spec
     cache = SegmentCache(
         capacity,
         policy=get_policy(policy),
@@ -175,7 +171,8 @@ def run(
     sequentially, which is also what makes read-through prefetch
     meaningful), arriving Poisson at ``rate_per_hour``.  The same
     request stream is replayed for every configuration, so each
-    capacity point is an independent simulation and ``workers > 1``
+    capacity point is an independent work unit of
+    :func:`~repro.experiments.parallel.execute_plan` and ``workers > 1``
     fans the sweep over a process pool with identical results.
     """
     config = config or ExperimentConfig()
@@ -200,37 +197,13 @@ def run(
         seed=config.workload_seed + 1,
     ).batch(horizon_hours * 3600.0)
 
-    from repro.experiments.parallel import _pool_context, resolve_workers
-
-    workers = resolve_workers(workers)
     baseline = _simulate(tape, requests, None, max_batch, prefetch)
-    if workers == 1 or len(capacities) <= 1:
-        points = [
-            _run_capacity_point(
-                tape, requests, capacity, max_batch, prefetch,
-                policy, admission,
-            )
-            for capacity in capacities
-        ]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(capacities)),
-            mp_context=_pool_context(),
-        ) as pool:
-            points = list(
-                pool.map(
-                    _run_capacity_point,
-                    [tape] * len(capacities),
-                    [requests] * len(capacities),
-                    capacities,
-                    [max_batch] * len(capacities),
-                    [prefetch] * len(capacities),
-                    [policy] * len(capacities),
-                    [admission] * len(capacities),
-                )
-            )
+    points = execute_plan(
+        (tape, requests, max_batch, prefetch, policy, admission),
+        list(capacities),
+        chunk_fn=_capacity_chunk,
+        workers=workers,
+    )
     return CacheSimResult(
         label="cache-sim",
         alpha=alpha,

@@ -88,14 +88,6 @@ class ExperimentConfig:
         Trial-count scale: ``quick``, ``full``, or ``paper``.
     max_length:
         Truncate the grid (benches use small prefixes).
-    seed_mode:
-        ``"per-trial"`` (default) derives an independent ``lrand48``
-        state per ``(workload_seed, length, trial)`` via
-        :mod:`repro.workload.seed_stream`, which makes trials
-        order-independent and therefore parallelizable with
-        bit-identical statistics.  ``"legacy"`` replays the seed repo's
-        single sequential stream (one ``srand48(workload_seed)`` call
-        for a whole sweep); it is serial-only.
     """
 
     tape_seed: int = 1
@@ -103,18 +95,12 @@ class ExperimentConfig:
     lengths: tuple[int, ...] = PAPER_SCHEDULE_LENGTHS
     scale: str = "quick"
     max_length: int | None = None
-    seed_mode: str = "per-trial"
 
     def __post_init__(self) -> None:
         if self.scale not in _SCALES:
             raise ExperimentError(
                 f"unknown scale {self.scale!r}; pick from "
                 f"{sorted(_SCALES)}"
-            )
-        if self.seed_mode not in ("per-trial", "legacy"):
-            raise ExperimentError(
-                f"unknown seed_mode {self.seed_mode!r}; pick "
-                "'per-trial' or 'legacy'"
             )
 
     @property

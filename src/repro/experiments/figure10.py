@@ -20,8 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.exceptions import ExperimentError
 from repro.experiments.config import ExperimentConfig, OPT_MAX_LENGTH
+from repro.experiments.parallel import (
+    DEFAULT_CHUNK_TRIALS,
+    ChunkTask,
+    execute_plan,
+)
 from repro.experiments.report import print_table
 from repro.experiments.result import TabularResult
 from repro.experiments.stats import RunningStats
@@ -31,7 +35,6 @@ from repro.model.perturb import EvenOddPerturbation
 from repro.scheduling.estimator import estimate_schedule_seconds
 from repro.scheduling.loss import LossScheduler
 from repro.scheduling.opt import OptScheduler
-from repro.workload.random_uniform import UniformWorkload
 from repro.workload.seed_stream import trial_workload
 
 #: The paper's error amounts (seconds).
@@ -156,20 +159,11 @@ def run(
 ) -> Figure10Result:
     """Sweep the error amounts over the schedule-length grid.
 
-    Under the default per-trial seed mode the trials are chunked and
-    distributed by :mod:`repro.experiments.parallel`, bit-identical for
-    every ``workers`` value; ``seed_mode="legacy"`` replays the seed
-    repo's sequential stream (serial only).
+    The trials are chunked and distributed by
+    :func:`repro.experiments.parallel.execute_plan`, bit-identical for
+    every ``workers`` value.
     """
     config = config or ExperimentConfig()
-    if config.seed_mode == "legacy":
-        if workers not in (None, 0, 1):
-            raise ExperimentError(
-                "seed_mode='legacy' cannot run on multiple workers"
-            )
-        return _run_legacy(config)
-    from repro.experiments.parallel import ChunkTask, execute_plan
-
     spec = _PerturbSpec(
         tape_seed=config.tape_seed,
         workload_seed=config.workload_seed,
@@ -179,13 +173,15 @@ def run(
     tasks = []
     for length in lengths:
         trials = max(2, config.trials(length) // 2)
-        for chunk_index, start in enumerate(range(0, trials, 25)):
+        for chunk_index, start in enumerate(
+            range(0, trials, DEFAULT_CHUNK_TRIALS)
+        ):
             tasks.append(
                 ChunkTask(
                     length=length,
                     chunk_index=chunk_index,
                     trial_start=start,
-                    trial_stop=min(start + 25, trials),
+                    trial_stop=min(start + DEFAULT_CHUNK_TRIALS, trials),
                     opt_budget=trials,
                 )
             )
@@ -210,55 +206,6 @@ def run(
                 opt_increase.setdefault(
                     (error, task.length), RunningStats()
                 ).merge(opt_stats)
-    return Figure10Result(
-        lengths=lengths,
-        errors=ERROR_AMOUNTS,
-        increase=increase,
-        opt_increase=opt_increase,
-    )
-
-
-def _run_legacy(config: ExperimentConfig) -> Figure10Result:
-    """The seed repo's serial loop: one shared ``lrand48`` stream."""
-    tape = generate_tape(seed=config.tape_seed)
-    model = LocateTimeModel(tape)
-    loss = LossScheduler()
-    opt = OptScheduler()
-    workload = UniformWorkload(
-        total_segments=tape.total_segments, seed=config.workload_seed
-    )
-
-    lengths = config.effective_lengths
-    increase: dict[tuple[float, int], RunningStats] = {}
-    opt_increase: dict[tuple[float, int], RunningStats] = {}
-    perturbed = {
-        error: EvenOddPerturbation(model, error) for error in ERROR_AMOUNTS
-    }
-    for length in lengths:
-        trials = max(2, config.trials(length) // 2)
-        for _ in range(trials):
-            # Starting position at the beginning of tape, per the paper.
-            _, batch = workload.sample_batch_with_origin(
-                length, origin_at_start=True
-            )
-            clean_schedule = loss.schedule(model, 0, batch)
-            clean_seconds = clean_schedule.estimated_seconds
-            if length <= OPT_MAX_LENGTH:
-                opt_clean = opt.schedule(model, 0, batch).estimated_seconds
-            for error in ERROR_AMOUNTS:
-                noisy_schedule = loss.schedule(perturbed[error], 0, batch)
-                true_seconds = estimate_schedule_seconds(
-                    model, noisy_schedule
-                )
-                increase.setdefault(
-                    (error, length), RunningStats()
-                ).add(100.0 * (true_seconds - clean_seconds) / clean_seconds)
-                if length <= OPT_MAX_LENGTH:
-                    opt_noisy = opt.schedule(perturbed[error], 0, batch)
-                    opt_true = estimate_schedule_seconds(model, opt_noisy)
-                    opt_increase.setdefault(
-                        (error, length), RunningStats()
-                    ).add(100.0 * (opt_true - opt_clean) / opt_clean)
     return Figure10Result(
         lengths=lengths,
         errors=ERROR_AMOUNTS,

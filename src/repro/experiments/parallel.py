@@ -1,11 +1,9 @@
-"""The parallel experiment engine for the Figure 3 simulation loop.
+"""The one sweep engine behind every experiment loop.
 
 Every figure sweep is embarrassingly parallel across trials — the paper
-runs up to 100,000 independent trials per grid point — but the seed
-repo's runner was chained to one sequential ``lrand48`` stream, so the
-whole ``lengths × trials × algorithms`` loop had to run on one core.
-This engine fans trials out across a process pool while keeping the
-statistics **bit-identical to the serial path**:
+runs up to 100,000 independent trials per grid point.  This engine runs
+them serially or fans them out across a process pool while keeping the
+statistics **bit-identical for every worker count**:
 
 * every trial draws its batch from a derived seed stream
   (:func:`repro.workload.seed_stream.trial_workload`), so a trial's
@@ -24,6 +22,12 @@ Under this scheme ``workers=1`` and ``workers=N`` run the identical
 sequence of floating-point operations per cell, so means, standard
 deviations, and counts match cell-for-cell, bit-for-bit (the
 determinism tests assert exact equality).
+
+:func:`execute_plan` is the only fan-out in the experiments package:
+Figures 4–7 run :func:`run_chunk` through
+:func:`repro.experiments.runner.run_per_locate`, and Figure 10, the
+Figure 8/9 validation runs and the cache-sim capacity sweep pass their
+own chunk functions.
 
 Workers memoize the generated tape, its
 :class:`~repro.model.locate.LocateTimeModel`, and the scheduler
@@ -215,7 +219,9 @@ def execute_plan(
     arguments (:func:`run_chunk` by default); ``warm_fn(spec)``, when
     given, pre-builds per-process state — invoked in the parent before
     forking (workers inherit it) and implicitly by ``chunk_fn`` in each
-    worker otherwise.
+    worker otherwise.  Tasks are opaque to the engine except for
+    progress events, which need :class:`ChunkTask` fields when a
+    ``bus`` is given.
 
     With ``workers == 1`` the chunks run in-process; otherwise they are
     distributed over a process pool.  Either way the returned list is
@@ -294,59 +300,3 @@ def execute_plan(
         )
     return partials
 
-
-def run_per_locate_sweep(
-    config: ExperimentConfig,
-    origin_at_start: bool,
-    algorithms: tuple[str, ...],
-    measure_cpu: bool = False,
-    workers: int | None = 1,
-    bus: EventBus | None = None,
-    chunk_trials: int = DEFAULT_CHUNK_TRIALS,
-    label: str | None = None,
-):
-    """The per-trial-seeded Figure 4/5/6 sweep, serial or parallel.
-
-    This is the engine behind
-    :func:`repro.experiments.runner.run_per_locate` whenever
-    ``config.seed_mode == "per-trial"``; the result is bit-identical
-    for every ``workers`` value.
-    """
-    # Local import: runner is the public module and imports us lazily.
-    from repro.experiments.runner import PerLocateResult, SeriesPoint
-
-    spec = SweepSpec(
-        tape_seed=config.tape_seed,
-        workload_seed=config.workload_seed,
-        origin_at_start=origin_at_start,
-        algorithms=tuple(algorithms),
-        measure_cpu=measure_cpu,
-    )
-    lengths = config.effective_lengths
-    tasks = chunk_plan(config, lengths, chunk_trials)
-    partials = execute_plan(
-        spec,
-        tasks,
-        workers=workers,
-        bus=bus,
-        label=label
-        or ("figure5" if origin_at_start else "figure4"),
-    )
-
-    points: dict[tuple[str, int], SeriesPoint] = {
-        (name, length): SeriesPoint(name, length)
-        for length in lengths
-        for name in algorithms
-    }
-    for task, partial in zip(tasks, partials):
-        for name in algorithms:
-            total, cpu = partial[name]
-            point = points[(name, task.length)]
-            point.total.merge(total)
-            point.cpu.merge(cpu)
-    return PerLocateResult(
-        origin_at_start=origin_at_start,
-        algorithms=tuple(algorithms),
-        lengths=lengths,
-        points=points,
-    )

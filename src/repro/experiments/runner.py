@@ -8,31 +8,21 @@ execution time with the locate-time model, and accumulates mean and
 standard deviation of the total time and the time per locate — exactly
 the paper's experiment, with configurable trial counts.
 
-Two execution paths produce the sweep:
-
-* ``config.seed_mode == "per-trial"`` (default) — every trial draws
-  from its own derived seed stream, which lets
-  :mod:`repro.experiments.parallel` fan trials out over ``workers``
-  processes with bit-identical statistics for every worker count;
-* ``config.seed_mode == "legacy"`` — the seed repo's single sequential
-  ``lrand48`` stream, kept for bit-compatibility with pre-parallel
-  results; serial only.
+Every trial draws from its own derived seed stream, and the sweep runs
+on :func:`repro.experiments.parallel.execute_plan`, which fans trials
+out over ``workers`` processes with bit-identical statistics for every
+worker count.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 from repro.constants import SEGMENT_TRANSFER_SECONDS
-from repro.exceptions import ExperimentError
-from repro.experiments.config import ExperimentConfig, OPT_MAX_LENGTH
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.parallel import SweepSpec, chunk_plan, execute_plan
 from repro.experiments.result import TabularResult
 from repro.experiments.stats import RunningStats
-from repro.geometry.generator import generate_tape
-from repro.model.locate import LocateTimeModel
-from repro.scheduling.base import get_scheduler
-from repro.workload.random_uniform import UniformWorkload
 
 #: Algorithms plotted in Figures 4 and 5.
 DEFAULT_ALGORITHMS: tuple[str, ...] = (
@@ -152,7 +142,7 @@ def run_per_locate(
     Parameters
     ----------
     config:
-        Grid, seeds, trial scale, and seed mode.
+        Grid, seeds, and trial scale.
     origin_at_start:
         False for Figure 4 (random initial position), True for
         Figure 5 (head at beginning of tape, the fresh-mount scenario).
@@ -162,77 +152,43 @@ def run_per_locate(
     measure_cpu:
         Also record scheduling CPU time per call (the Figure 6 data).
     workers:
-        Process count for the parallel engine (``None``/``0`` = all
-        CPUs).  Any value yields bit-identical statistics under the
-        default ``per-trial`` seed mode; the ``legacy`` seed mode
-        requires ``workers=1``.
+        Process count for the sweep engine (``None``/``0`` = all
+        CPUs).  Any value yields bit-identical statistics.
     bus:
         Optional :class:`~repro.obs.bus.EventBus` receiving
         ``experiment.*`` progress events.
     """
-    if config.seed_mode == "legacy":
-        if workers not in (None, 0, 1):
-            raise ExperimentError(
-                "seed_mode='legacy' replays one sequential lrand48 "
-                "stream and cannot run on multiple workers; use the "
-                "default per-trial seed mode for workers > 1"
-            )
-        return _run_per_locate_legacy(
-            config, origin_at_start, algorithms, measure_cpu
-        )
-    from repro.experiments.parallel import run_per_locate_sweep
-
-    return run_per_locate_sweep(
-        config,
-        origin_at_start,
-        algorithms=algorithms,
+    spec = SweepSpec(
+        tape_seed=config.tape_seed,
+        workload_seed=config.workload_seed,
+        origin_at_start=origin_at_start,
+        algorithms=tuple(algorithms),
         measure_cpu=measure_cpu,
+    )
+    lengths = config.effective_lengths
+    tasks = chunk_plan(config, lengths)
+    partials = execute_plan(
+        spec,
+        tasks,
         workers=workers,
         bus=bus,
+        label="figure5" if origin_at_start else "figure4",
     )
 
-
-def _run_per_locate_legacy(
-    config: ExperimentConfig,
-    origin_at_start: bool,
-    algorithms: tuple[str, ...],
-    measure_cpu: bool,
-) -> PerLocateResult:
-    """The seed repo's serial loop: one shared ``lrand48`` stream."""
-    tape = generate_tape(seed=config.tape_seed)
-    model = LocateTimeModel(tape)
-    schedulers = {name: get_scheduler(name) for name in algorithms}
-    workload = UniformWorkload(
-        total_segments=tape.total_segments, seed=config.workload_seed
-    )
-
-    points: dict[tuple[str, int], SeriesPoint] = {}
-    for length in config.effective_lengths:
-        trials = config.trials(length)
-        opt_budget = min(trials, config.opt_trials(length))
+    points: dict[tuple[str, int], SeriesPoint] = {
+        (name, length): SeriesPoint(name, length)
+        for length in lengths
+        for name in algorithms
+    }
+    for task, partial in zip(tasks, partials):
         for name in algorithms:
-            points[(name, length)] = SeriesPoint(name, length)
-        for trial in range(trials):
-            origin, batch = workload.sample_batch_with_origin(
-                length, origin_at_start
-            )
-            for name in algorithms:
-                if name.startswith("OPT") and (
-                    length > OPT_MAX_LENGTH or trial >= opt_budget
-                ):
-                    continue
-                started = time.perf_counter() if measure_cpu else 0.0
-                schedule = schedulers[name].schedule(model, origin, batch)
-                if measure_cpu:
-                    points[(name, length)].cpu.add(
-                        time.perf_counter() - started
-                    )
-                points[(name, length)].total.add(
-                    schedule.estimated_seconds
-                )
+            total, cpu = partial[name]
+            point = points[(name, task.length)]
+            point.total.merge(total)
+            point.cpu.merge(cpu)
     return PerLocateResult(
         origin_at_start=origin_at_start,
         algorithms=tuple(algorithms),
-        lengths=config.effective_lengths,
+        lengths=lengths,
         points=points,
     )

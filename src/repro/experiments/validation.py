@@ -16,17 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from concurrent.futures import ProcessPoolExecutor
-
 from repro.drive.physical import ground_truth_drive
-from repro.exceptions import ExperimentError
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.parallel import ChunkTask, execute_plan
 from repro.experiments.result import TabularResult
 from repro.experiments.stats import RunningStats
 from repro.geometry.tape import TapeGeometry
 from repro.scheduling.executor import execute_schedule
 from repro.scheduling.loss import LossScheduler
-from repro.workload.random_uniform import UniformWorkload
 from repro.workload.seed_stream import trial_workload
 
 #: Schedule sizes used for the validation runs (Figure 8's x axis).
@@ -83,24 +80,19 @@ class ValidationResult(TabularResult):
         ]
 
 
-def _measure_one_length(
-    schedule_model,
-    true_geometry: TapeGeometry,
-    length: int,
-    trials: int,
-    workload_seed: int,
-    drive_seed: int,
-) -> ValidationPoint:
-    """One grid point under per-trial seed streams.
+def _measure_chunk(spec: tuple, task: ChunkTask) -> ValidationPoint:
+    """One grid point: all ``task.trials`` trials of ``task.length``.
 
-    Each trial's batch comes from its own derived stream (namespace
-    ``"validation"``), so grid points are independent work units — the
-    parallel path maps this function over the lengths and collects the
-    points in grid order, bit-identical to the serial path.
+    ``spec`` is ``(schedule_model, true_geometry, workload_seed,
+    drive_seed)``.  Each trial's batch comes from its own derived
+    stream (namespace ``"validation"``), so grid points are independent
+    work units for :func:`~repro.experiments.parallel.execute_plan`.
     """
+    schedule_model, true_geometry, workload_seed, drive_seed = spec
+    length = task.length
     scheduler = LossScheduler()
     stats = RunningStats()
-    for trial in range(trials):
+    for trial in range(task.trial_start, task.trial_stop):
         workload = trial_workload(
             true_geometry.total_segments,
             workload_seed,
@@ -143,84 +135,29 @@ def run_validation(
         The cartridge actually in the drive; measurements run on its
         ground-truth drive.
     workers:
-        Process count (``None``/``0`` = all CPUs).  Under the default
-        per-trial seed mode each length is an independent work unit and
-        the result is bit-identical for every worker count; the legacy
-        seed mode is serial-only.
+        Process count (``None``/``0`` = all CPUs).  Each length is one
+        work unit of :func:`~repro.experiments.parallel.execute_plan`,
+        so the result is bit-identical for every worker count.
     """
-    from repro.experiments.parallel import _pool_context, resolve_workers
-
     config = config or ExperimentConfig()
-    workers = resolve_workers(workers)
     lengths = tuple(
         n for n in lengths
         if config.max_length is None or n <= config.max_length
     )
-    if config.seed_mode == "legacy":
-        if workers != 1:
-            raise ExperimentError(
-                "seed_mode='legacy' replays one sequential lrand48 "
-                "stream and cannot run on multiple workers"
-            )
-        return _run_validation_legacy(
-            schedule_model, true_geometry, config, lengths, trials,
-            label, drive_seed,
+    tasks = [
+        ChunkTask(
+            length=length,
+            chunk_index=0,
+            trial_start=0,
+            trial_stop=trials,
+            opt_budget=0,
         )
-    if workers == 1 or len(lengths) <= 1:
-        points = [
-            _measure_one_length(
-                schedule_model, true_geometry, length, trials,
-                config.workload_seed, drive_seed,
-            )
-            for length in lengths
-        ]
-    else:
-        with ProcessPoolExecutor(
-            max_workers=min(workers, len(lengths)),
-            mp_context=_pool_context(),
-        ) as pool:
-            points = list(
-                pool.map(
-                    _measure_one_length,
-                    [schedule_model] * len(lengths),
-                    [true_geometry] * len(lengths),
-                    lengths,
-                    [trials] * len(lengths),
-                    [config.workload_seed] * len(lengths),
-                    [drive_seed] * len(lengths),
-                )
-            )
-    return ValidationResult(label=label, points=points)
-
-
-def _run_validation_legacy(
-    schedule_model,
-    true_geometry: TapeGeometry,
-    config: ExperimentConfig,
-    lengths: tuple[int, ...],
-    trials: int,
-    label: str,
-    drive_seed: int,
-) -> ValidationResult:
-    """The seed repo's serial loop: one shared ``lrand48`` stream."""
-    scheduler = LossScheduler()
-    workload = UniformWorkload(
-        total_segments=true_geometry.total_segments,
-        seed=config.workload_seed,
+        for length in lengths
+    ]
+    points = execute_plan(
+        (schedule_model, true_geometry, config.workload_seed, drive_seed),
+        tasks,
+        chunk_fn=_measure_chunk,
+        workers=workers,
     )
-    points = []
-    for length in lengths:
-        stats = RunningStats()
-        for _ in range(trials):
-            origin, batch = workload.sample_batch_with_origin(
-                length, origin_at_start=False
-            )
-            schedule = scheduler.schedule(schedule_model, origin, batch)
-            estimate = schedule.estimated_seconds
-            drive = ground_truth_drive(
-                true_geometry, seed=drive_seed, initial_position=origin
-            )
-            measured = execute_schedule(drive, schedule).total_seconds
-            stats.add(100.0 * (estimate - measured) / measured)
-        points.append(ValidationPoint(length=length, percent_error=stats))
     return ValidationResult(label=label, points=points)

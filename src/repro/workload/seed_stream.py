@@ -17,9 +17,8 @@ standard seed-sequence mixer (Steele, Lea & Flood, OOPSLA 2014): its
 output function is a bijection of the 64-bit input, so distinct trial
 triples map to well-spread states with no cheap collisions.
 
-The legacy sequential stream remains available through
-``seed_mode="legacy"`` on :class:`~repro.experiments.config.ExperimentConfig`
-for bit-compatibility with pre-parallel results.
+Every experiment sweep draws its trials from these streams; there is no
+sequential-stream mode.
 """
 
 from __future__ import annotations

@@ -11,9 +11,11 @@ import pytest
 from repro.exceptions import ExperimentError
 from repro.experiments import (
     ExperimentConfig,
+    RunningStats,
     cache_sim,
-    figure10,
+    figure8,
     figure9,
+    figure10,
     run_per_locate,
 )
 from repro.experiments.parallel import (
@@ -24,7 +26,11 @@ from repro.experiments.parallel import (
     resolve_workers,
     run_chunk,
 )
+from repro.geometry.generator import generate_tape
+from repro.model.locate import LocateTimeModel
 from repro.obs import EventBus, SweepChunkCompleted
+from repro.scheduling.base import get_scheduler
+from repro.workload.random_uniform import UniformWorkload
 
 
 def _assert_cells_identical(first, second):
@@ -79,10 +85,13 @@ class TestWorkerInvariance:
             b = parallel.opt_increase[key]
             assert (a.count, a.mean, a.std) == (b.count, b.mean, b.std)
 
-    def test_validation_worker_invariant(self):
+    @pytest.mark.parametrize(
+        "run", [figure8.run, figure9.run], ids=["figure8", "figure9"]
+    )
+    def test_validation_worker_invariant(self, run):
         config = ExperimentConfig(scale="quick", max_length=32)
-        serial = figure9.run(config, workers=1)
-        parallel = figure9.run(config, workers=2)
+        serial = run(config, workers=1)
+        parallel = run(config, workers=2)
         assert [p.length for p in serial.points] == [
             p.length for p in parallel.points
         ]
@@ -105,42 +114,34 @@ class TestWorkerInvariance:
 
 
 class TestSeedModes:
-    def test_legacy_mode_rejects_workers(self):
-        config = ExperimentConfig(
-            lengths=(2,), scale="quick", seed_mode="legacy"
-        )
-        with pytest.raises(ExperimentError):
-            run_per_locate(
-                config, origin_at_start=False, algorithms=("FIFO",),
-                workers=2,
-            )
-        with pytest.raises(ExperimentError):
-            figure10.run(config, workers=2)
-        with pytest.raises(ExperimentError):
-            figure9.run(config, workers=2)
-
-    def test_unknown_seed_mode_rejected(self):
-        with pytest.raises(ExperimentError):
-            ExperimentConfig(seed_mode="banana")
-
     def test_legacy_differs_from_per_trial_but_agrees_statistically(self):
         length = 8
+        config = ExperimentConfig(lengths=(length,), scale="quick")
         per_trial = run_per_locate(
-            ExperimentConfig(lengths=(length,), scale="quick"),
-            origin_at_start=False, algorithms=("FIFO",),
+            config, origin_at_start=False, algorithms=("FIFO",),
         ).point("FIFO", length)
-        legacy = run_per_locate(
-            ExperimentConfig(
-                lengths=(length,), scale="quick", seed_mode="legacy"
-            ),
-            origin_at_start=False, algorithms=("FIFO",),
-        ).point("FIFO", length)
+        # Reference: every trial drawn from one sequential lrand48
+        # stream, the pre-seed-stream way of running the sweep.
+        tape = generate_tape(seed=config.tape_seed)
+        model = LocateTimeModel(tape)
+        fifo = get_scheduler("FIFO")
+        workload = UniformWorkload(
+            total_segments=tape.total_segments, seed=config.workload_seed
+        )
+        sequential = RunningStats()
+        for _ in range(config.trials(length)):
+            origin, batch = workload.sample_batch_with_origin(
+                length, False
+            )
+            sequential.add(
+                fifo.schedule(model, origin, batch).estimated_seconds
+            )
         # Different streams -> different bits...
-        assert per_trial.total.mean != legacy.total.mean
+        assert per_trial.total.mean != sequential.mean
         # ...same distribution: FIFO's per-locate mean is the
         # random-to-random expectation (~72.4 s) either way.
         assert per_trial.per_locate_mean == pytest.approx(
-            legacy.per_locate_mean, rel=0.10
+            sequential.mean / length, rel=0.10
         )
 
 
