@@ -1,8 +1,8 @@
-"""Extension benchmarks — the paper's future-work algorithms.
+"""Extension benchmarks — what the paper's ideas buy beyond Figure 4.
 
-Compares the quadratic dense LOSS against the sparse-graph
-contraction variant the paper sketches, and measures what Or-opt
-refinement buys on top of LOSS.
+Measures what Or-opt refinement buys on top of LOSS, how few probes
+the probing calibration needs, and how much head wear scheduling
+saves over FIFO.
 """
 
 import numpy as np
@@ -10,11 +10,7 @@ import pytest
 
 from repro.geometry import generate_tape
 from repro.model import LocateTimeModel
-from repro.scheduling import (
-    ImprovedLossScheduler,
-    LossScheduler,
-    SparseLossScheduler,
-)
+from repro.scheduling import ImprovedLossScheduler, LossScheduler
 from repro.workload import UniformWorkload
 
 BATCH = 384
@@ -34,21 +30,6 @@ def setup():
     return model, origin, batch.tolist()
 
 
-def test_sparse_loss_matches_dense_quality(benchmark, setup):
-    model, origin, batch = setup
-    sparse = benchmark.pedantic(
-        SparseLossScheduler().schedule,
-        args=(model, origin, batch),
-        rounds=1,
-        iterations=1,
-    )
-    dense = LossScheduler().schedule(model, origin, batch)
-    # The paper's hope for the sparse variant: same quality class.
-    assert sparse.estimated_seconds < 1.1 * dense.estimated_seconds
-    benchmark.extra_info["sparse_s"] = round(sparse.estimated_seconds, 1)
-    benchmark.extra_info["dense_s"] = round(dense.estimated_seconds, 1)
-
-
 def test_oropt_refinement_gain(benchmark, setup):
     model, origin, batch = setup
     # Use a smaller batch: Or-opt works on raw requests.
@@ -63,27 +44,6 @@ def test_oropt_refinement_gain(benchmark, setup):
     gain = 1.0 - improved.estimated_seconds / base.estimated_seconds
     assert gain >= -1e-9
     benchmark.extra_info["gain_pct"] = round(100 * gain, 2)
-
-
-def test_lookahead_is_not_enough(benchmark, setup):
-    """The negative ablation: one step of lookahead does not buy
-    LOSS's regret advantage."""
-    from repro.scheduling import LookaheadScheduler
-
-    model, origin, batch = setup
-    small = batch[:96]
-    lookahead = benchmark.pedantic(
-        LookaheadScheduler().schedule,
-        args=(model, origin, small),
-        rounds=1,
-        iterations=1,
-    )
-    loss = LossScheduler().schedule(model, origin, small)
-    assert loss.estimated_seconds <= 1.02 * lookahead.estimated_seconds
-    benchmark.extra_info["lookahead_s"] = round(
-        lookahead.estimated_seconds, 1
-    )
-    benchmark.extra_info["loss_s"] = round(loss.estimated_seconds, 1)
 
 
 def test_probing_calibration_speedup(benchmark):

@@ -4,18 +4,21 @@ The paper cites striped tape organizations (Drapeau & Katz; Golubchik,
 Muntz & Watson) as the complementary lever on tape performance:
 scheduling attacks positioning *latency*, striping attacks *bandwidth
 and parallelism* by spreading a logical volume across several drives.
-This module combines the two: a logical address space is striped
-round-robin over K cartridges, a random batch is split into its
-per-drive sub-batches, each sub-batch is scheduled independently (LOSS
-by default), and all drives run in parallel — the batch completes at
-the slowest drive's makespan.
+This module combines the two: :class:`StripedTapeArray` stripes a
+logical address space round-robin over K cartridges, splits a random
+batch into its per-drive sub-batches, schedules each sub-batch
+independently (LOSS by default), and runs all drives in parallel — the
+batch completes at the slowest drive's makespan.
+
+:func:`striped_volume` sizes every stripe mapping in this module; the
+array uses its one-replica mapping.
 
 Because each drive sees ~1/K of the requests, the per-request
 positioning cost *rises* (smaller batches schedule worse — Figure 4),
 so the speedup from K drives is sublative: K drives buy less than K×.
 The ablation benchmark quantifies that interaction.
 
-Two layers connect striping to the multi-drive library of
+Two more layers connect striping to the multi-drive library of
 :mod:`repro.library`:
 
 * :class:`StripedVolume` — a *replicated* stripe mapping over named
@@ -41,7 +44,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.drive.simulated import SimulatedDrive
-from repro.exceptions import LibraryError, SegmentOutOfRange
+from repro.exceptions import (
+    EmptyBatchError,
+    LibraryError,
+    SegmentOutOfRange,
+)
 from repro.library.cartridge import Cartridge
 from repro.library.requests import LibraryRequest
 from repro.obs.events import DegradedRead, RepairCompleted, RepairStarted
@@ -113,7 +120,12 @@ class StripedBatchResult:
 
 
 class StripedTapeArray:
-    """K cartridges in K drives, serving one striped logical volume."""
+    """K cartridges in K drives, serving one striped logical volume.
+
+    The placement is :func:`striped_volume`'s with one replica, so the
+    same checks apply: at least one cartridge, ``stripe_unit >= 1``,
+    and unique cartridge labels.
+    """
 
     def __init__(
         self,
@@ -121,18 +133,9 @@ class StripedTapeArray:
         stripe_unit: int = 1,
         scheduler: Scheduler | None = None,
     ) -> None:
-        if not cartridges:
-            raise LibraryError("a striped array needs cartridges")
-        if stripe_unit < 1:
-            raise LibraryError("stripe_unit must be >= 1")
+        self.mapping = striped_volume(cartridges, stripe_unit).mapping
         self.cartridges = list(cartridges)
         self.scheduler = scheduler or LossScheduler()
-        smallest = min(c.geometry.total_segments for c in self.cartridges)
-        self.mapping = StripeMapping(
-            drives=len(self.cartridges),
-            stripe_unit=stripe_unit,
-            units_per_drive=smallest // stripe_unit,
-        )
         self._drives = [
             SimulatedDrive(cartridge.model)
             for cartridge in self.cartridges
@@ -160,6 +163,8 @@ class StripedTapeArray:
         (the paper's repeated-batches scenario, per drive).
         """
         split = self.split_batch(logical_segments)
+        if not any(split):
+            raise EmptyBatchError("request batch is empty")
         drive_seconds = []
         for index, physicals in enumerate(split):
             if not physicals:

@@ -31,19 +31,10 @@ from repro.scheduling.improve import (
     improve_schedule,
     or_opt_order,
 )
-from repro.scheduling.lookahead import (
-    LookaheadScheduler,
-    lookahead_order,
-)
 from repro.scheduling.loss import (
     LossScheduler,
-    RawLossScheduler,
     loss_path,
     loss_path_fragments,
-)
-from repro.scheduling.loss_sparse import (
-    SparseLossScheduler,
-    sparse_loss_order,
 )
 from repro.scheduling.ltsp import (
     LtspExactScheduler,
@@ -83,14 +74,12 @@ __all__ = [
     "FifoScheduler",
     "Group",
     "ImprovedLossScheduler",
-    "LookaheadScheduler",
     "LossScheduler",
     "LtspExactScheduler",
     "LtspGreedyScheduler",
     "LtspRepairScheduler",
     "LtspSweepScheduler",
     "OptScheduler",
-    "RawLossScheduler",
     "ReadEntireTapeScheduler",
     "Request",
     "ScanScheduler",
@@ -100,7 +89,6 @@ __all__ = [
     "SltfNaiveScheduler",
     "SltfScheduler",
     "SortScheduler",
-    "SparseLossScheduler",
     "WeaveScheduler",
     "as_requests",
     "brute_force_path",
@@ -117,12 +105,10 @@ __all__ = [
     "improve_schedule",
     "linear_deadhead_sections",
     "locate_sequence_times",
-    "lookahead_order",
     "loss_path",
     "loss_path_fragments",
     "or_opt_order",
     "register",
-    "sparse_loss_order",
     "request_lengths",
     "request_segments",
     "scheduler_names",

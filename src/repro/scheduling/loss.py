@@ -61,10 +61,7 @@ def loss_path_fragments(distance: np.ndarray) -> list[list[int]]:
     Runs the same greedy loop as :func:`loss_path` but stops when no
     feasible edge remains instead of raising: on a *complete* matrix
     that is after ``m - 1`` edges (one fragment — the full path), on a
-    sparse matrix possibly earlier.  The sparse-graph LOSS variant
-    (the paper's future-work idea implemented in
-    :mod:`repro.scheduling.loss_sparse`) contracts these fragments and
-    repeats.
+    matrix with missing (+inf) edges possibly earlier.
 
     Fragments are returned head-first; the fragment starting with node
     0 (if any edges were added at all) comes first.
@@ -209,12 +206,3 @@ class LossScheduler(Scheduler):
         order = loss_path(square)
         return expand_groups([groups[i - 1] for i in order])
 
-
-@register
-class RawLossScheduler(LossScheduler):
-    """LOSS without coalescing (the ablation baseline)."""
-
-    name = "LOSS-raw"
-
-    def __init__(self) -> None:
-        super().__init__(threshold=None)

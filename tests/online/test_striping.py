@@ -2,7 +2,11 @@
 
 import pytest
 
-from repro.exceptions import LibraryError, SegmentOutOfRange
+from repro.exceptions import (
+    EmptyBatchError,
+    LibraryError,
+    SegmentOutOfRange,
+)
 from repro.geometry import tiny_tape
 from repro.online import Cartridge, StripeMapping, StripedTapeArray
 
@@ -45,13 +49,19 @@ class TestStripeMapping:
 
 
 class TestStripedTapeArray:
-    def test_validation(self):
+    def test_validation(self, array):
         with pytest.raises(LibraryError):
             StripedTapeArray([])
         with pytest.raises(LibraryError):
             StripedTapeArray(
                 [Cartridge("v", tiny_tape(seed=1))], stripe_unit=0
             )
+        with pytest.raises(LibraryError):
+            StripedTapeArray(
+                [Cartridge("v", tiny_tape(seed=i)) for i in range(2)]
+            )
+        with pytest.raises(EmptyBatchError):
+            array.service_batch([])
 
     def test_logical_capacity(self, array):
         smallest = min(

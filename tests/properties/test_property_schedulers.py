@@ -7,6 +7,7 @@ from repro.drive import SimulatedDrive
 from repro.geometry import tiny_tape
 from repro.model import LinearizedModel, LocateTimeModel, out_positions
 from repro.scheduling import (
+    LossScheduler,
     execute_schedule,
     get_scheduler,
     held_karp_path,
@@ -22,21 +23,25 @@ _LINEAR = LinearizedModel(_MODEL)
 
 segments = st.integers(min_value=0, max_value=_TAPE.total_segments - 1)
 batches = st.lists(segments, min_size=1, max_size=24, unique=True)
+# Schedulers are stateless, so one instance each serves every example;
+# LossScheduler(threshold=None) is the uncoalesced LOSS.
 algorithms = st.sampled_from(
-    ["FIFO", "SORT", "SLTF", "SLTF-naive", "SLTF-coalesce",
-     "SCAN", "WEAVE", "LOSS", "LOSS-raw", "LOSS-sparse",
-     "LOSS+oropt", "READ",
-     "LTSP-exact", "LTSP-repair", "LTSP-sweep", "LTSP-greedy"]
+    [get_scheduler(name) for name in (
+        "FIFO", "SORT", "SLTF", "SLTF-naive", "SLTF-coalesce",
+        "SCAN", "WEAVE", "LOSS", "LOSS+oropt", "READ",
+        "LTSP-exact", "LTSP-repair", "LTSP-sweep", "LTSP-greedy",
+    )]
+    + [LossScheduler(threshold=None)]
 )
 ltsp_algorithms = st.sampled_from(
     ["LTSP-exact", "LTSP-repair", "LTSP-sweep", "LTSP-greedy"]
 )
 
 
-@given(batch=batches, origin=segments, name=algorithms)
+@given(batch=batches, origin=segments, scheduler=algorithms)
 @settings(max_examples=120, deadline=None)
-def test_every_scheduler_returns_a_permutation(batch, origin, name):
-    schedule = get_scheduler(name).schedule(_MODEL, origin, batch)
+def test_every_scheduler_returns_a_permutation(batch, origin, scheduler):
+    schedule = scheduler.schedule(_MODEL, origin, batch)
     assert sorted(r.segment for r in schedule) == sorted(batch)
     assert schedule.origin == origin
     assert schedule.estimated_seconds is not None
@@ -54,10 +59,10 @@ def test_opt_lower_bounds_heuristics(batch, origin):
 
 
 @given(batch=st.lists(segments, min_size=1, max_size=12, unique=True),
-       origin=segments, name=algorithms)
+       origin=segments, scheduler=algorithms)
 @settings(max_examples=60, deadline=None)
-def test_estimate_matches_execution(batch, origin, name):
-    schedule = get_scheduler(name).schedule(_MODEL, origin, batch)
+def test_estimate_matches_execution(batch, origin, scheduler):
+    schedule = scheduler.schedule(_MODEL, origin, batch)
     drive = SimulatedDrive(_MODEL, initial_position=origin)
     result = execute_schedule(drive, schedule)
     assert abs(result.total_seconds - schedule.estimated_seconds) < 1e-6

@@ -22,6 +22,15 @@ class TestRegistry:
             "READ", "FIFO", "OPT", "SORT", "SLTF", "SCAN", "WEAVE", "LOSS",
         ):
             assert required in names
+        # Exactly what some experiment reaches: the paper's eight, the
+        # figure-6 and optimality-frontier schedulers, AUTO and the two
+        # SLTF audit variants.  A new name must earn its place here.
+        assert names == sorted([
+            "READ", "FIFO", "OPT", "SORT", "SLTF", "SCAN", "WEAVE", "LOSS",
+            "OPT-brute", "LOSS+oropt",
+            "LTSP-exact", "LTSP-repair", "LTSP-sweep", "LTSP-greedy",
+            "AUTO", "SLTF-naive", "SLTF-coalesce",
+        ])
 
     def test_unknown_name(self):
         with pytest.raises(SchedulingError):

@@ -7,9 +7,9 @@ from repro.exceptions import SchedulingError
 from repro.scheduling import (
     FifoScheduler,
     LossScheduler,
-    RawLossScheduler,
     SltfScheduler,
     loss_path,
+    loss_path_fragments,
 )
 
 
@@ -120,7 +120,7 @@ class TestLossScheduler:
         batch = rng.choice(
             full_model.geometry.total_segments, 24, replace=False
         ).tolist()
-        raw = RawLossScheduler().schedule(full_model, 0, batch)
+        raw = LossScheduler(threshold=None).schedule(full_model, 0, batch)
         coalesced = LossScheduler().schedule(full_model, 0, batch)
         assert sorted(r.segment for r in raw) == sorted(batch)
         assert raw.estimated_seconds < 1.3 * coalesced.estimated_seconds
@@ -136,3 +136,41 @@ class TestLossScheduler:
         ]
         schedule = LossScheduler().schedule(full_model, 0, batch)
         assert sorted(schedule.requests) == sorted(batch)
+
+
+class TestLossPathFragments:
+    def test_complete_matrix_gives_one_fragment(self, rng):
+        n = 8
+        matrix = np.full((n + 1, n + 1), np.inf)
+        matrix[:, 1:] = rng.uniform(1, 50, size=(n + 1, n))
+        fragments = loss_path_fragments(matrix)
+        assert len(fragments) == 1
+        assert fragments[0][0] == 0
+        assert sorted(fragments[0][1:]) == list(range(1, n + 1))
+
+    def test_disconnected_matrix_gives_pieces(self):
+        inf = np.inf
+        # Two islands: {0 -> 1} and {2 <-> 3}, no bridge.
+        matrix = np.asarray(
+            [
+                [inf, 2.0, inf, inf],
+                [inf, inf, inf, inf],
+                [inf, inf, inf, 3.0],
+                [inf, inf, 5.0, inf],
+            ]
+        )
+        fragments = loss_path_fragments(matrix)
+        assert [0, 1] in fragments
+        # 2 and 3 form one fragment (one edge picked, cycle forbidden).
+        assert any(
+            sorted(fragment) == [2, 3]
+            for fragment in fragments
+            if fragment[0] != 0
+        )
+
+    def test_origin_fragment_first(self, rng):
+        n = 5
+        matrix = np.full((n + 1, n + 1), np.inf)
+        matrix[:, 1:] = rng.uniform(1, 50, size=(n + 1, n))
+        fragments = loss_path_fragments(matrix)
+        assert fragments[0][0] == 0

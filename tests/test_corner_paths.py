@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.scheduling import (
-    WeaveScheduler,
-    full_read_seconds,
-    sparse_loss_order,
-)
+from repro.scheduling import WeaveScheduler, full_read_seconds
 
 
 class TestWeaveFallback:
@@ -37,22 +33,6 @@ class TestWeaveFallback:
         )
         # The in-pattern neighbour is taken before the fallback one.
         assert schedule.requests[0].segment == easy_request
-
-
-class TestSparseLossWideningAndScale:
-    def test_tiny_out_degree_still_completes(self, rng):
-        # Forces rounds where 2-edge sparsification may strand
-        # fragments; the widening loop must still converge.
-        n = 60
-        matrix = rng.uniform(1.0, 100.0, size=(n + 1, n))
-        order = sparse_loss_order(matrix, out_degree_factor=0.01)
-        assert sorted(order) == list(range(n))
-
-    def test_larger_than_dense_fallback(self, rng):
-        n = 120
-        matrix = rng.uniform(1.0, 100.0, size=(n + 1, n))
-        order = sparse_loss_order(matrix)
-        assert sorted(order) == list(range(n))
 
 
 class TestFullReadParity:

@@ -5,6 +5,7 @@ through their underlying modules' own tests); each must exit cleanly
 and print its headline content.
 """
 
+import re
 import runpy
 import sys
 from pathlib import Path
@@ -42,3 +43,11 @@ class TestExamples:
         out = run_example("data_mining_batch.py", capsys)
         assert "point queries" in out
         assert "AUTO" in out
+
+    def test_striped_array(self, capsys):
+        out = run_example("striped_array.py", capsys)
+        assert "drives   makespan  speedup  parallel eff." in out
+        # The 8-drive row: makespan, speedup, efficiency, 32 per drive.
+        assert re.search(
+            r"^\s+8\s+\d+ s\s+[\d.]+x\s+\d+%\s+32$", out, re.M
+        )
