@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro import (
+    EventBus,
     LocateTimeModel,
     SimulatedDrive,
     execute_schedule,
@@ -51,13 +52,15 @@ def main() -> None:
     # Execute the LOSS schedule on a simulated drive and confirm the
     # estimate matches the measurement (same model on both sides).
     schedule = get_scheduler("LOSS").schedule(model, 0, batch)
-    drive = SimulatedDrive(model, record_events=True)
+    bus = EventBus()
+    drive_ops = bus.collect("drive.op")
+    drive = SimulatedDrive(model, bus=bus)
     result = execute_schedule(drive, schedule)
     print(f"\nLOSS executed: {result.total_seconds:.1f} s measured "
           f"vs {schedule.estimated_seconds:.1f} s estimated")
     print(f"  positioning {result.locate_seconds:.1f} s, "
           f"transfer {result.transfer_seconds:.1f} s, "
-          f"{len(drive.events)} drive events")
+          f"{len(drive_ops)} drive events")
 
 
 if __name__ == "__main__":

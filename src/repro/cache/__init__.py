@@ -35,7 +35,6 @@ from repro.cache.policies import (
 )
 from repro.cache.prefetch import (
     DEFAULT_MAX_PREFETCH_PER_BATCH,
-    opportunistic_prefetch,
     prefetch_candidates,
 )
 from repro.cache.library_tier import CachedLibrarySystem
@@ -65,6 +64,5 @@ __all__ = [
     "SegmentCache",
     "get_admission",
     "get_policy",
-    "opportunistic_prefetch",
     "prefetch_candidates",
 ]

@@ -10,8 +10,9 @@ mechanism time, no extra tape wear — which is the cheapest possible
 prefetch a tertiary store can do.
 
 This module computes the passed-over segments of a batch (reusing the
-paper's distance-threshold coalescing rule) so the cached system can
-offer them to the cache after each batch.
+paper's distance-threshold coalescing rule);
+:func:`repro.cache.system.stage_batch` offers them to the cache after
+each batch.
 """
 
 from __future__ import annotations
@@ -67,26 +68,3 @@ def prefetch_candidates(
         if limit is not None and len(out) >= limit:
             return out[:limit]
     return out
-
-
-def opportunistic_prefetch(
-    cache,
-    model,
-    head_position: int,
-    requests: Sequence[Request],
-    threshold: int = DEFAULT_COALESCE_THRESHOLD,
-    limit: int | None = DEFAULT_MAX_PREFETCH_PER_BATCH,
-) -> int:
-    """Offer a batch's passed-over segments to ``cache``.
-
-    Each candidate is costed with the model-estimated locate time from
-    ``head_position`` back to it (the GDSF weight and the admission
-    cost signal).  Returns the number of segments actually staged;
-    prefetch fills never evict resident data (see
-    :meth:`repro.cache.store.SegmentCache.admit`).
-    """
-    candidates = prefetch_candidates(requests, threshold, limit)
-    if not candidates:
-        return 0
-    costs = model.locate_times(head_position, candidates)
-    return cache.admit_run(candidates, costs, prefetch=True)

@@ -3,12 +3,11 @@
 Public surface::
 
     from repro.drive import (
-        SimulatedDrive, TapeDrive, DriveEvent, EventKind,
+        SimulatedDrive, TapeDrive, EventKind,
         ground_truth_drive, ground_truth_model,
     )
 """
 
-from repro.drive.faults import FaultyModel
 from repro.drive.interface import TapeDrive
 from repro.drive.physical import ground_truth_drive, ground_truth_model
 from repro.drive.simulated import SimulatedDrive, TRACK_TURNAROUND_SECONDS
@@ -17,14 +16,12 @@ from repro.drive.wear import (
     EXABYTE_RATED_PASSES,
     WearMeter,
 )
-from repro.obs.events import DriveEvent, EventKind
+from repro.obs.events import EventKind
 
 __all__ = [
     "DLT_RATED_PASSES",
-    "DriveEvent",
     "EXABYTE_RATED_PASSES",
     "EventKind",
-    "FaultyModel",
     "SimulatedDrive",
     "TRACK_TURNAROUND_SECONDS",
     "TapeDrive",

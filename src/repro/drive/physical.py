@@ -47,7 +47,6 @@ def ground_truth_drive(
     geometry: TapeGeometry,
     seed: int = 0,
     initial_position: int = 0,
-    record_events: bool = False,
     **deviation_kwargs,
 ) -> SimulatedDrive:
     """A drive whose measured times deviate from the idealized model.
@@ -58,5 +57,4 @@ def ground_truth_drive(
     return SimulatedDrive(
         ground_truth_model(geometry, seed=seed, **deviation_kwargs),
         initial_position=initial_position,
-        record_events=record_events,
     )

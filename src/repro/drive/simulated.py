@@ -3,8 +3,8 @@
 A :class:`SimulatedDrive` executes the primitive operations of the paper
 — ``locate``, ``read``, ``rewind``, and the READ-algorithm's full-tape
 scan — against a locate-time model, accumulating elapsed mechanism time
-and (optionally) an event log.  The model it is given determines whose
-"reality" it simulates:
+and (optionally) publishing each operation as a ``drive.op`` bus event.
+The model it is given determines whose "reality" it simulates:
 
 * with a plain :class:`~repro.model.LocateTimeModel` it is the paper's
   *model-driven simulation* (Section 5);
@@ -23,7 +23,7 @@ from repro.constants import (
 )
 from repro.exceptions import DriveError
 from repro.model.rewind import rewind_time
-from repro.obs.events import DriveEvent, DriveOperation, EventKind
+from repro.obs.events import DriveOperation, EventKind
 
 #: Per-track-turnaround cost charged during a full-tape sequential read.
 TRACK_TURNAROUND_SECONDS = REPOSITION_SECONDS
@@ -39,9 +39,6 @@ class SimulatedDrive:
         cartridge; its geometry is the cartridge geometry.
     initial_position:
         Head position when the simulation starts (0 = freshly loaded).
-    record_events:
-        Keep a :class:`~repro.obs.events.DriveEvent` log.  Disable for
-        large Monte-Carlo runs.
     bus:
         Optional :class:`~repro.obs.bus.EventBus`; every primitive
         operation is published as a
@@ -54,7 +51,6 @@ class SimulatedDrive:
         self,
         model,
         initial_position: int = 0,
-        record_events: bool = False,
         wear_meter=None,
         bus=None,
     ) -> None:
@@ -62,9 +58,6 @@ class SimulatedDrive:
         self.model.geometry.check_segment(initial_position)
         self._position = int(initial_position)
         self._clock = 0.0
-        self._events: list[DriveEvent] | None = (
-            [] if record_events else None
-        )
         #: Optional :class:`repro.drive.wear.WearMeter` accumulating
         #: head travel across all operations.
         self.wear_meter = wear_meter
@@ -89,24 +82,9 @@ class SimulatedDrive:
         """Accumulated busy time."""
         return self._clock
 
-    @property
-    def events(self) -> list[DriveEvent]:
-        """The event log (empty if recording is disabled)."""
-        return list(self._events) if self._events is not None else []
-
     def _record(
         self, kind: EventKind, duration: float, source: int, destination: int
     ) -> None:
-        if self._events is not None:
-            self._events.append(
-                DriveEvent(
-                    kind=kind,
-                    start_seconds=self._clock,
-                    duration_seconds=duration,
-                    source=source,
-                    destination=destination,
-                )
-            )
         if self.bus is not None:
             self.bus.publish(
                 DriveOperation(

@@ -27,6 +27,7 @@ yet is bit-identical to one without it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.model.perturb import ShortLocateDeviation
@@ -70,9 +71,12 @@ class MediaAgingModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("drift_bias_seconds", "drift_noise_seconds"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        for name in (
+            "drift_bias_seconds", "drift_noise_seconds", "short_seconds",
+        ):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value < 0:
+                raise ValueError(f"{name} must be finite and >= 0")
         if not 0.0 <= self.bad_spot_probability <= 1.0:
             raise ValueError("bad_spot_probability must be in [0, 1]")
         if not 0.0 <= self.max_bad_spot_probability <= 1.0:

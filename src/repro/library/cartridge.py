@@ -20,6 +20,7 @@ longer exists; ``repro.online`` still re-exports them.)
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.drive.simulated import SimulatedDrive
@@ -71,6 +72,10 @@ class TapeLibrary:
             raise LibraryError("cartridge labels must be unique")
         self._shelf = {c.label: c for c in cartridges}
         self.exchange_seconds = float(exchange_seconds)
+        if not math.isfinite(self.exchange_seconds) or (
+            self.exchange_seconds < 0
+        ):
+            raise LibraryError("exchange_seconds must be finite and >= 0")
         #: Optional :class:`~repro.obs.bus.EventBus`; mounts/unmounts
         #: publish ``library.mount`` / ``library.unmount`` events, and
         #: the drive of the mounted cartridge joins the same stream.

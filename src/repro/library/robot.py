@@ -27,6 +27,7 @@ accounting of ``TapeLibrary.mount``.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -187,6 +188,10 @@ class ArmPool:
         if arms < 1:
             raise LibraryError("arms must be >= 1")
         self.exchange_seconds = float(exchange_seconds)
+        if not math.isfinite(self.exchange_seconds) or (
+            self.exchange_seconds < 0
+        ):
+            raise LibraryError("exchange_seconds must be finite and >= 0")
         self.assignment = (
             assignment if assignment is not None else LeastBusyArms()
         )

@@ -21,6 +21,8 @@ schedulers and drives accept them interchangeably.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.model.locate import LocateTimeModel
@@ -108,11 +110,15 @@ class EvenOddPerturbation(ModelWrapper):
     edge by edge.
 
     Times are floored at zero (a locate cannot take negative time).
+    ``error_seconds`` must be finite: the scalar and vector floors
+    disagree on NaN (``max(0.0, nan)`` is ``0.0``, ``np.maximum`` NaN).
     """
 
     def __init__(self, base: LocateTimeModel, error_seconds: float) -> None:
         super().__init__(base)
         self.error_seconds = float(error_seconds)
+        if not math.isfinite(self.error_seconds):
+            raise ValueError("error_seconds must be finite")
 
     def _transform(self, sources, destinations, times) -> np.ndarray:
         offset = np.where(
@@ -147,7 +153,9 @@ class ShortLocateDeviation(ModelWrapper):
         Amplitude of deterministic per-pair noise (uniform in
         ``[-noise, +noise]``), applied to *all* locates.  Deterministic
         so that repeated executions of a schedule measure identically,
-        like re-running a tape.
+        like re-running a tape.  Must be >= 0.
+
+    The three times must be finite (see :class:`EvenOddPerturbation`).
     """
 
     def __init__(
@@ -162,6 +170,11 @@ class ShortLocateDeviation(ModelWrapper):
         self.short_seconds = float(short_seconds)
         self.bias_seconds = float(bias_seconds)
         self.noise_seconds = float(noise_seconds)
+        for name in ("short_seconds", "bias_seconds", "noise_seconds"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if self.noise_seconds < 0:
+            raise ValueError("noise_seconds must be >= 0")
         self.seed = int(seed)
         self._salt = (self.seed * 0x165667B1 + 0x27D4EB2F) & MASK64
 

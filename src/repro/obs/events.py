@@ -16,10 +16,9 @@ and flattens losslessly to a JSON-safe record via :meth:`Event.to_record`;
 :func:`event_from_record` reverses the mapping exactly, so a JSONL trace
 round-trips to identical event objects.
 
-This module also hosts :class:`DriveEvent`/:class:`EventKind`, the
-simulated drive's own operation log, which this taxonomy generalizes
-(they moved here from ``repro.drive.events``, which no longer exists;
-``repro.drive`` still re-exports them).
+This module also hosts :class:`EventKind`, the categories of drive
+activity a :class:`DriveOperation` carries as its ``kind``
+(``repro.drive`` re-exports it).
 """
 
 from __future__ import annotations
@@ -38,36 +37,6 @@ class EventKind(enum.Enum):
     FULL_READ = "full_read"
     MOUNT = "mount"
     UNMOUNT = "unmount"
-
-
-@dataclass(frozen=True, slots=True)
-class DriveEvent:
-    """One timed drive operation.
-
-    Attributes
-    ----------
-    kind:
-        What the drive did.
-    start_seconds:
-        Drive clock when the operation began.
-    duration_seconds:
-        How long it took.
-    source, destination:
-        Head position before and after the operation (absolute segment
-        numbers; for reads the destination is the position just past the
-        data read).
-    """
-
-    kind: EventKind
-    start_seconds: float
-    duration_seconds: float
-    source: int
-    destination: int
-
-    @property
-    def end_seconds(self) -> float:
-        """Drive clock when the operation finished."""
-        return self.start_seconds + self.duration_seconds
 
 
 #: Registry of event types by name, for parsing traces.
@@ -645,10 +614,11 @@ class SweepCompleted(Event):
 
 @dataclass(frozen=True, slots=True)
 class DriveOperation(Event):
-    """One raw drive mechanism operation (generalizes
-    :class:`DriveEvent` onto the bus; ``seconds`` is the drive clock at
-    the start of the operation and ``kind`` an :class:`EventKind`
-    value)."""
+    """One raw drive mechanism operation (``seconds`` is the drive
+    clock at the start of the operation, ``kind`` an :class:`EventKind`
+    value, and ``source``/``destination`` the head position before and
+    after it; for reads the destination is the position just past the
+    data read)."""
 
     name: ClassVar[str] = "drive.op"
 

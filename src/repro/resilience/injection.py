@@ -1,13 +1,13 @@
 """Deterministic fault injection at the drive boundary.
 
-:class:`FaultyModel` (``repro.drive.faults``) models the *soft* retries
-a real mechanism absorbs silently — they cost time, never correctness.
-This module models the failures the mechanism cannot absorb: a locate
-that hard-fails, a read whose data is bad, a firmware reset that loses
-the head position.  A :class:`FaultInjector` wraps any drive and raises
+This module is the simulator's one fault model: a locate that
+hard-fails, a read whose data is bad, a firmware reset that loses the
+head position.  A :class:`FaultInjector` wraps any drive and raises
 them as typed :class:`~repro.exceptions.DriveFault` exceptions at the
 rates of a :class:`FaultPlan`, charging realistic mechanism time for
-each failed attempt.
+each failed attempt; a :class:`~repro.resilience.policy.RetryPolicy`
+above it turns a fault into a retry that costs time, never
+correctness.
 
 Faults are *transient and deterministic*: each primitive operation
 consumes one draw from a counted hash stream, so the same run replays
@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from repro.exceptions import DriveReset, LocateFault, ReadFault
 from repro.obs.events import FaultInjected
 
-#: Mechanism time a hard locate failure wastes before reporting: the
-#: backed-up re-approach of ``repro.drive.faults`` (0.5 sections at
-#: scan + read speed) — the attempt that *still* missed.
+#: Mechanism time a hard locate failure wastes before reporting: one
+#: backed-up re-approach, 0.5 sections at scan + read speed
+#: (0.5 × (10.0 + 15.5) s/section) — the attempt that *still* missed.
 DEFAULT_LOCATE_PENALTY_SECONDS = 12.75
 
 #: Firmware reset time before the mechanism accepts commands again
@@ -260,8 +260,3 @@ class FaultInjector:
     def locate_times_from_here(self, segments):
         """Vectorized what-if of the wrapped drive."""
         return self.inner.locate_times_from_here(segments)
-
-    @property
-    def events(self):
-        """Event log of the wrapped drive."""
-        return self.inner.events

@@ -14,7 +14,6 @@ from repro.scheduling.base import (
 )
 from repro.scheduling.coalesce import (
     Group,
-    coalesce_by_section,
     coalesce_by_threshold,
     expand_groups,
 )
@@ -92,7 +91,6 @@ __all__ = [
     "WeaveScheduler",
     "as_requests",
     "brute_force_path",
-    "coalesce_by_section",
     "coalesce_by_threshold",
     "estimate_locate_seconds",
     "estimate_schedule_seconds",

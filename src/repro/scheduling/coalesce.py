@@ -5,7 +5,8 @@ shrink the problem the quadratic algorithms (SLTF, LOSS) work on:
 
 * **by section** — requests in the same section always travel together,
   because reading ahead within a section is faster than any locate out
-  of it;
+  of it (:class:`~repro.scheduling.sltf.SltfScheduler` buckets its
+  candidates by ``global_section_of`` itself);
 * **by distance threshold** — sort the requested segments; a segment
   within ``T`` of its predecessor joins the predecessor's group.  The
   paper finds ``T = 1410`` (two sections) works well and the schedule
@@ -21,10 +22,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.constants import DEFAULT_COALESCE_THRESHOLD
-from repro.geometry.tape import TapeGeometry
 from repro.scheduling.request import Request
 
 
@@ -74,28 +72,6 @@ def coalesce_by_threshold(
             current = [request]
     if current:
         groups.append(Group(tuple(current)))
-    return groups
-
-
-def coalesce_by_section(
-    geometry: TapeGeometry, requests: Sequence[Request]
-) -> list[Group]:
-    """Coalesce requests that share a physical section.
-
-    Sections hold contiguous segment ranges, so after sorting this is a
-    run-splitting pass on the global section id.
-    """
-    ordered = _sorted_requests(requests)
-    segments = np.fromiter(
-        (r.segment for r in ordered), dtype=np.int64, count=len(ordered)
-    )
-    section_ids = geometry.global_section_of(segments)
-    groups: list[Group] = []
-    start = 0
-    for i in range(1, len(ordered) + 1):
-        if i == len(ordered) or section_ids[i] != section_ids[start]:
-            groups.append(Group(tuple(ordered[start:i])))
-            start = i
     return groups
 
 

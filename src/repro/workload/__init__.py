@@ -13,11 +13,6 @@ from repro.workload.seed_stream import (
     trial_state,
     trial_workload,
 )
-from repro.workload.trace import (
-    load_trace,
-    save_trace,
-    trace_from_batch,
-)
 from repro.workload.zipf import ZipfWorkload
 
 __all__ = [
@@ -27,10 +22,7 @@ __all__ = [
     "UniformWorkload",
     "ZipfArrivals",
     "ZipfWorkload",
-    "load_trace",
-    "save_trace",
     "splitmix64",
-    "trace_from_batch",
     "trial_state",
     "trial_workload",
 ]

@@ -1,8 +1,9 @@
 """Opportunistic read-through prefetch."""
 
 from repro.cache import SegmentCache, prefetch_candidates
-from repro.cache.prefetch import opportunistic_prefetch
-from repro.scheduling import Request
+from repro.cache.system import stage_batch
+from repro.drive import SimulatedDrive
+from repro.scheduling import Request, Schedule, execute_schedule
 
 
 class TestPrefetchCandidates:
@@ -42,30 +43,30 @@ class TestPrefetchCandidates:
         assert prefetch_candidates(requests, threshold=100) == []
 
 
+def _stage_clean_batch(cache, model):
+    """Execute [10, 14] cleanly and stage it with threshold 20."""
+    schedule = Schedule((Request(10), Request(14)), origin=0,
+                        algorithm="SORT")
+    drive = SimulatedDrive(model)
+    result = execute_schedule(drive, schedule)
+    stage_batch(cache, model, drive.position, schedule, result,
+                threshold=20)
+
+
 class TestOpportunisticPrefetch:
+    """The prefetch half of :func:`repro.cache.system.stage_batch`."""
+
     def test_stages_gaps_with_model_costs(self, tiny_model):
         cache = SegmentCache(32)
-        staged = opportunistic_prefetch(
-            cache, tiny_model, 0,
-            [Request(10), Request(14)], threshold=20,
-        )
-        assert staged == 3
+        _stage_clean_batch(cache, tiny_model)
         assert all(seg in cache for seg in (11, 12, 13))
         assert cache.stats.prefetch_insertions == 3
 
     def test_never_evicts_resident_data(self, tiny_model):
+        # The demand fill takes both slots; the gap must not evict it.
         cache = SegmentCache(2)
         cache.admit(200)
         cache.admit(201)
-        staged = opportunistic_prefetch(
-            cache, tiny_model, 0,
-            [Request(10), Request(14)], threshold=20,
-        )
-        assert staged == 0
-        assert set(cache) == {200, 201}
-
-    def test_no_candidates_is_noop(self, tiny_model):
-        cache = SegmentCache(4)
-        assert opportunistic_prefetch(
-            cache, tiny_model, 0, [Request(10)]
-        ) == 0
+        _stage_clean_batch(cache, tiny_model)
+        assert cache.stats.prefetch_insertions == 0
+        assert set(cache) == {10, 14}

@@ -1,18 +1,19 @@
-"""SimulatedDrive: operation accounting and the event log."""
+"""SimulatedDrive: operation accounting and its ``drive.op`` stream."""
 
 import pytest
 
 from repro.constants import SEGMENT_TRANSFER_SECONDS
-from repro.drive import DriveEvent, EventKind, SimulatedDrive
+from repro.drive import EventKind, SimulatedDrive
 from repro.exceptions import DriveError, SegmentOutOfRange
 from repro.library import MediaAgingModel
 from repro.model import LocateTimeModel, ModelWrapper, rewind_time
+from repro.obs import EventBus
 from repro.resilience import FaultInjector, FaultPlan
 
 
 @pytest.fixture()
 def drive(tiny_model):
-    return SimulatedDrive(tiny_model, record_events=True)
+    return SimulatedDrive(tiny_model)
 
 
 class TestLocate:
@@ -115,30 +116,38 @@ class TestFullRead:
 
 
 class TestEvents:
-    def test_log_records_operations(self, drive):
+    @pytest.fixture()
+    def traced(self, tiny_model):
+        bus = EventBus()
+        return SimulatedDrive(tiny_model, bus=bus), bus.collect("drive.op")
+
+    def test_log_records_operations(self, traced):
+        drive, ops = traced
         drive.locate(30)
         drive.read(2)
         drive.rewind()
-        kinds = [event.kind for event in drive.events]
-        assert kinds == [EventKind.LOCATE, EventKind.READ, EventKind.REWIND]
+        kinds = [op.kind for op in ops]
+        assert kinds == [
+            EventKind.LOCATE.value,
+            EventKind.READ.value,
+            EventKind.REWIND.value,
+        ]
+        assert [(op.source, op.destination) for op in ops] == [
+            (0, 30), (30, 32), (32, 0),
+        ]
 
-    def test_events_are_contiguous(self, drive):
+    def test_events_are_contiguous(self, traced):
+        drive, ops = traced
         drive.service(40, 3)
         drive.locate(7)
-        events = drive.events
-        for earlier, later in zip(events, events[1:]):
-            assert later.start_seconds == pytest.approx(
-                earlier.end_seconds
+        for earlier, later in zip(ops, ops[1:]):
+            assert later.seconds == pytest.approx(
+                earlier.seconds + earlier.duration_seconds
             )
-
-    def test_event_dataclass(self):
-        event = DriveEvent(EventKind.LOCATE, 1.0, 2.5, 0, 9)
-        assert event.end_seconds == pytest.approx(3.5)
-
-    def test_disabled_log_is_empty(self, tiny_model):
-        drive = SimulatedDrive(tiny_model, record_events=False)
-        drive.locate(5)
-        assert drive.events == []
+        last = ops[-1]
+        assert drive.clock_seconds == pytest.approx(
+            last.seconds + last.duration_seconds
+        )
 
 
 class TestHelpers:

@@ -100,6 +100,15 @@ class TestWearCurves:
             MediaAgingModel(bad_spot_probability=1.5)
         with pytest.raises(ValueError):
             MediaAgingModel(max_drift_cycles=-1)
+        for name in (
+            "drift_bias_seconds", "drift_noise_seconds", "short_seconds",
+        ):
+            with pytest.raises(ValueError, match=name):
+                MediaAgingModel(**{name: float("nan")})
+        with pytest.raises(ValueError, match="short_seconds"):
+            MediaAgingModel(short_seconds=float("inf"))
+        with pytest.raises(ValueError, match="short_seconds"):
+            MediaAgingModel(short_seconds=-1.0)
         aging = MediaAgingModel()
         with pytest.raises(ValueError):
             aging.read_fault_probability(-1)

@@ -212,6 +212,15 @@ class TestArmPoolUnit:
         with pytest.raises(LibraryError):
             ArmPool(EventKernel(), exchange_seconds=30.0, arms=0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -5.0])
+    def test_rejects_bad_exchange_seconds(self, bad):
+        with pytest.raises(LibraryError, match="exchange_seconds"):
+            ArmPool(EventKernel(), exchange_seconds=bad)
+        with pytest.raises(LibraryError, match="exchange_seconds"):
+            MultiDriveSystem(
+                [Cartridge("t0", tiny_tape(seed=1))], exchange_seconds=bad
+            )
+
     def test_rejects_out_of_range_policy_choice(self):
         class Bad:
             name = "bad"

@@ -147,3 +147,19 @@ def test_stacked_wrappers(tiny):
     np.testing.assert_allclose(
         stacked.locate_times(0, destinations), expected
     )
+
+
+def test_validation(tiny_model):
+    # max(0.0, nan) is 0.0 but np.maximum(0.0, nan) is nan: a non-finite
+    # parameter would split the scalar and vector kernels.
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="error_seconds"):
+            EvenOddPerturbation(tiny_model, bad)
+        for name in ("short_seconds", "bias_seconds", "noise_seconds"):
+            with pytest.raises(ValueError, match=name):
+                ShortLocateDeviation(tiny_model, **{name: bad})
+    with pytest.raises(ValueError, match="noise_seconds"):
+        ShortLocateDeviation(tiny_model, noise_seconds=-0.1)
+    # Negative offsets and biases stay legal (the floor keeps times >= 0).
+    EvenOddPerturbation(tiny_model, -3.0)
+    ShortLocateDeviation(tiny_model, bias_seconds=-0.2)

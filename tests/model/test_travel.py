@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.drive import FaultyModel
 from repro.model import EvenOddPerturbation, ShortLocateDeviation
 
 
@@ -51,7 +50,6 @@ class TestTravelSections:
         [
             lambda m: EvenOddPerturbation(m, 5.0),
             lambda m: ShortLocateDeviation(m),
-            lambda m: FaultyModel(m, retry_probability=0.2),
         ],
     )
     def test_wrappers_pass_travel_through(self, full_model, rng, wrapper):

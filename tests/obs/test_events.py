@@ -133,6 +133,5 @@ class TestDeprecationShim:
     def test_package_reexport_stays_warning_free(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            from repro.drive import DriveEvent, EventKind
-        assert DriveEvent is events.DriveEvent
+            from repro.drive import EventKind
         assert EventKind is events.EventKind

@@ -31,6 +31,13 @@ class TestShelf:
                 ]
             )
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -30.0])
+    def test_rejects_bad_exchange_seconds(self, bad):
+        with pytest.raises(LibraryError, match="exchange_seconds"):
+            TapeLibrary(
+                [Cartridge("x", tiny_tape(seed=1))], exchange_seconds=bad
+            )
+
     def test_unknown_tape(self, library):
         with pytest.raises(UnknownTape):
             library.mount("gamma")

@@ -8,7 +8,6 @@ from repro.constants import (
     READ_SECONDS_PER_SECTION,
     SCAN_SECONDS_PER_SECTION,
 )
-from repro.drive import FaultyModel
 from repro.geometry import tiny_tape
 from repro.model import (
     EvenOddPerturbation,
@@ -101,7 +100,6 @@ _SCALAR_MODELS = {
         for seed in (0, 1, -2, 2**40)
     },
     "even-odd": EvenOddPerturbation(_MODEL, 3.0),
-    "faulty": FaultyModel(_MODEL, retry_probability=0.3, seed=4),
     "linearized": LinearizedModel(_MODEL),
 }
 

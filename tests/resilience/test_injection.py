@@ -49,7 +49,6 @@ class TestTransparency:
         wrapped = FaultInjector(SimulatedDrive(tiny_model), FaultPlan())
         assert wrapped.geometry is tiny
         assert wrapped.model is tiny_model
-        assert wrapped.events == wrapped.inner.events
 
     def test_service_composes_locate_and_read(self, tiny_model):
         wrapped = FaultInjector(SimulatedDrive(tiny_model), FaultPlan())

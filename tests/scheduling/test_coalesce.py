@@ -3,7 +3,6 @@
 
 from repro.scheduling import (
     Request,
-    coalesce_by_section,
     coalesce_by_threshold,
     expand_groups,
 )
@@ -45,31 +44,6 @@ class TestThresholdCoalescing:
         assert group.first_segment == 5
         assert group.out_segment == 11
         assert len(group) == 2
-
-
-class TestSectionCoalescing:
-    def test_same_section_groups(self, tiny):
-        layout = tiny.track_layout(0).section_layout(3)
-        inside = [
-            Request(layout.first_segment),
-            Request(layout.first_segment + 2),
-        ]
-        outside = [Request(layout.last_segment + 1)]
-        groups = coalesce_by_section(tiny, inside + outside)
-        assert len(groups) == 2
-        assert len(groups[0]) == 2
-
-    def test_every_group_is_single_section(self, tiny, rng):
-        batch = [
-            Request(int(s))
-            for s in rng.choice(tiny.total_segments, 60, replace=False)
-        ]
-        for group in coalesce_by_section(tiny, batch):
-            ids = {
-                int(tiny.global_section_of(r.segment))
-                for r in group.requests
-            }
-            assert len(ids) == 1
 
 
 class TestExpand:

@@ -1,10 +1,87 @@
 """The package's public surface."""
 
 import importlib
+import inspect
+import re
+from pathlib import Path
 
 import pytest
 
 import repro
+
+API_DOC = Path(__file__).resolve().parent.parent / "docs" / "API.md"
+
+#: A (dotted) name opening a call, not itself an attribute of a call.
+_CALL = re.compile(r"(?<![\w.])([A-Za-z_]\w*(?:\.\w+)*)\(")
+_SECTION_PACKAGE = re.compile(r"\(`(repro\.\w+)`\)")
+
+
+def _top_level_split(text):
+    """Split call arguments at commas outside brackets and strings."""
+    pieces, depth, quote, current = [], 0, None, []
+    for char in text:
+        if quote:
+            quote = None if char == quote else quote
+        elif char in "\"'":
+            quote = char
+        elif char in "([{":
+            depth += 1
+        elif char in ")]}":
+            depth -= 1
+        elif char == "," and depth == 0:
+            pieces.append("".join(current))
+            current = []
+            continue
+        current.append(char)
+    pieces.append("".join(current))
+    return [piece.strip() for piece in pieces]
+
+
+def _documented_calls():
+    """Yield ``(section package, dotted name, [parameter names])`` for
+    every call written in a python block of docs/API.md."""
+    package = None
+    in_block = False
+    block: list[str] = []
+    for line in API_DOC.read_text().splitlines():
+        if line.startswith("## "):
+            found = _SECTION_PACKAGE.search(line)
+            package = found.group(1) if found else None
+        elif line.startswith("```python"):
+            in_block, block = True, []
+        elif line.startswith("```") and in_block:
+            in_block = False
+            code = "\n".join(row.split("#")[0] for row in block)
+            position = 0
+            while match := _CALL.search(code, position):
+                depth, end = 1, match.end()
+                while depth:
+                    depth += {"(": 1, ")": -1}.get(code[end], 0)
+                    end += 1
+                names = [
+                    re.split(r"[:=]", piece)[0].strip()
+                    for piece in _top_level_split(code[match.end():end - 1])
+                ]
+                yield package, match.group(1), [
+                    name for name in names if name.isidentifier()
+                ]
+                position = end
+        elif in_block:
+            block.append(line)
+
+
+def _resolve(package, dotted):
+    """The public object ``dotted`` names in ``package`` or
+    ``repro.api`` (``None`` for instances such as ``system.run``)."""
+    head, *rest = dotted.split(".")
+    for module in filter(None, (package, "repro.api")):
+        namespace = importlib.import_module(module)
+        if head in namespace.__all__:
+            target = getattr(namespace, head)
+            for attribute in rest:
+                target = getattr(target, attribute)
+            return target
+    return None
 
 
 class TestPublicSurface:
@@ -77,6 +154,27 @@ class TestPublicSurface:
         ):
             assert name in api.__all__, name
             assert getattr(api, name) is not None
+
+    def test_documented_parameters_exist(self):
+        # Every parameter docs/API.md writes into a signature of a
+        # public callable must exist under that name.
+        checked, missing = 0, []
+        for package, dotted, names in _documented_calls():
+            target = _resolve(package, dotted)
+            if target is None or not callable(target):
+                continue
+            parameters = inspect.signature(target).parameters
+            if any(
+                p.kind is inspect.Parameter.VAR_KEYWORD
+                for p in parameters.values()
+            ):
+                continue
+            for name in names:
+                checked += 1
+                if name not in parameters:
+                    missing.append(f"{dotted}({name}=...)")
+        assert missing == []
+        assert checked > 100
 
     def test_facade_names_are_canonical_objects(self):
         # The facade re-exports, never wraps.
