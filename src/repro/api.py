@@ -16,6 +16,13 @@ break when internals are reorganized — such moves keep the old path
 working for one release behind a :class:`DeprecationWarning` shim,
 then remove it (see ``docs/API.md``).
 
+Each name resolves on its first access (PEP 562) through the table
+below, which maps a defining module to the names taken from it: using
+``api.generate_tape`` loads the geometry layer only, and the
+:mod:`repro.lint` analyzer loads only when one of its names is used.
+``__all__`` and ``dir(api)`` list every name up front; moving a name
+is one table edit.
+
 The facade groups:
 
 * **geometry / model** — synthetic cartridges and the locate-time model;
@@ -34,224 +41,146 @@ The facade groups:
   ``repro lint`` (see ``docs/STATIC_ANALYSIS.md``).
 """
 
-from __future__ import annotations
+from repro import _lazy_exports
 
-from repro._version import __version__
-from repro.cache.library_tier import CachedLibrarySystem
-from repro.cache.store import SegmentCache
-from repro.cache.system import CachedTertiaryStorageSystem
-from repro.drive.simulated import SimulatedDrive
-from repro.exceptions import (
-    AdmissionRejected,
-    CacheError,
-    DeadlineExpired,
-    DriveError,
-    DriveFault,
-    DriveReset,
-    LintError,
-    LocateFault,
-    MetricsError,
-    NoSamplesError,
-    ReadFault,
-    ReproError,
-    SchedulingError,
-    ServeError,
-    TenantOverloaded,
-    TraceError,
-    UnknownTenant,
-)
-from repro.lint import Finding, LintRun, ProjectGraph, flow_rules, run_lint
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.export import result_to_rows, write_result
-from repro.experiments.result import TabularResult
-from repro.geometry.generator import generate_tape, tiny_tape
-from repro.geometry.tape import TapeGeometry
-from repro.model.linearize import LinearizedModel
-from repro.model.locate import LocateTimeModel
-from repro.obs import (
-    EventBus,
-    MetricsRegistry,
-    TraceRecorder,
-    TraceSummary,
-    bind_standard_metrics,
-    cache_stats_from_events,
-    read_events_jsonl,
-    response_stats_from_events,
-    summarize_events,
-    write_events_csv,
-    write_events_jsonl,
-)
-from repro.library import (
-    LibraryBatchRecord,
-    LibraryRequest,
-    MediaAgingModel,
-    MultiDriveSystem,
-    arm_policy_names,
-    assignment_policy_names,
-    exchange_policy_names,
-    get_arm_policy,
-    get_assignment_policy,
-    get_exchange_policy,
-    poisson_library_stream,
-)
-from repro.library.cartridge import Cartridge, TapeLibrary
-from repro.online.batch_queue import (
-    BatchPolicy,
-    BatchQueue,
-    DeadlineBatchPolicy,
-)
-from repro.online.metrics import CacheStats, ResponseStats
-from repro.online.striping import (
-    LogicalRead,
-    StripedReadCoordinator,
-    StripedVolume,
-    striped_volume,
-)
-from repro.online.system import BatchRecord, TertiaryStorageSystem
-from repro.resilience import (
-    FaultInjector,
-    FaultPlan,
-    ResilienceConfig,
-    RetryPolicy,
-)
-from repro.scheduling.base import (
-    Scheduler,
-    get_scheduler,
-    scheduler_names,
-)
-from repro.scheduling.estimator import estimate_schedule_seconds
-from repro.scheduling.executor import ExecutionResult, execute_schedule
-from repro.scheduling.ltsp import (
-    LtspExactScheduler,
-    LtspGreedyScheduler,
-    LtspRepairScheduler,
-    LtspSweepScheduler,
-    exact_ltsp_order,
-    linear_deadhead_sections,
-)
-from repro.scheduling.request import Request
-from repro.scheduling.schedule import Schedule
-from repro.serve import (
-    Gateway,
-    ServeConfig,
-    ServeReport,
-    ServeRequest,
-    ShedRecord,
-    TenantConfig,
-    TenantLoadSpec,
-    TenantStats,
-    load_serve_trace,
-    save_serve_trace,
-    zipf_serve_stream,
-)
-from repro.workload.arrivals import (
-    PoissonArrivals,
-    TimedRequest,
-    ZipfArrivals,
-)
+_EXPORTS = {
+    "repro._version": ("__version__",),
+    "repro.cache.library_tier": ("CachedLibrarySystem",),
+    "repro.cache.store": ("SegmentCache",),
+    "repro.cache.system": ("CachedTertiaryStorageSystem",),
+    "repro.drive.simulated": ("SimulatedDrive",),
+    "repro.exceptions": (
+        "AdmissionRejected",
+        "CacheError",
+        "DeadlineExpired",
+        "DriveError",
+        "DriveFault",
+        "DriveReset",
+        "LintError",
+        "LocateFault",
+        "MetricsError",
+        "NoSamplesError",
+        "ReadFault",
+        "ReproError",
+        "SchedulingError",
+        "ServeError",
+        "TenantOverloaded",
+        "TraceError",
+        "UnknownTenant",
+    ),
+    "repro.lint": (
+        "Finding",
+        "LintRun",
+        "ProjectGraph",
+        "flow_rules",
+        "run_lint",
+    ),
+    "repro.experiments.config": ("ExperimentConfig",),
+    "repro.experiments.export": (
+        "result_to_rows",
+        "write_result",
+    ),
+    "repro.experiments.result": ("TabularResult",),
+    "repro.geometry.generator": (
+        "generate_tape",
+        "tiny_tape",
+    ),
+    "repro.geometry.tape": ("TapeGeometry",),
+    "repro.model.linearize": ("LinearizedModel",),
+    "repro.model.locate": ("LocateTimeModel",),
+    "repro.obs": (
+        "EventBus",
+        "MetricsRegistry",
+        "TraceRecorder",
+        "TraceSummary",
+        "bind_standard_metrics",
+        "cache_stats_from_events",
+        "read_events_jsonl",
+        "response_stats_from_events",
+        "summarize_events",
+        "write_events_csv",
+        "write_events_jsonl",
+    ),
+    "repro.library": (
+        "LibraryBatchRecord",
+        "LibraryRequest",
+        "MediaAgingModel",
+        "MultiDriveSystem",
+        "arm_policy_names",
+        "assignment_policy_names",
+        "exchange_policy_names",
+        "get_arm_policy",
+        "get_assignment_policy",
+        "get_exchange_policy",
+        "poisson_library_stream",
+    ),
+    "repro.library.cartridge": (
+        "Cartridge",
+        "TapeLibrary",
+    ),
+    "repro.online.batch_queue": (
+        "BatchPolicy",
+        "BatchQueue",
+        "DeadlineBatchPolicy",
+    ),
+    "repro.online.metrics": (
+        "CacheStats",
+        "ResponseStats",
+    ),
+    "repro.online.striping": (
+        "LogicalRead",
+        "StripedReadCoordinator",
+        "StripedVolume",
+        "striped_volume",
+    ),
+    "repro.online.system": (
+        "BatchRecord",
+        "TertiaryStorageSystem",
+    ),
+    "repro.resilience": (
+        "FaultInjector",
+        "FaultPlan",
+        "ResilienceConfig",
+        "RetryPolicy",
+    ),
+    "repro.scheduling.base": (
+        "Scheduler",
+        "get_scheduler",
+        "scheduler_names",
+    ),
+    "repro.scheduling.estimator": ("estimate_schedule_seconds",),
+    "repro.scheduling.executor": (
+        "ExecutionResult",
+        "execute_schedule",
+    ),
+    "repro.scheduling.ltsp": (
+        "LtspExactScheduler",
+        "LtspGreedyScheduler",
+        "LtspRepairScheduler",
+        "LtspSweepScheduler",
+        "exact_ltsp_order",
+        "linear_deadhead_sections",
+    ),
+    "repro.scheduling.request": ("Request",),
+    "repro.scheduling.schedule": ("Schedule",),
+    "repro.serve": (
+        "Gateway",
+        "ServeConfig",
+        "ServeReport",
+        "ServeRequest",
+        "ShedRecord",
+        "TenantConfig",
+        "TenantLoadSpec",
+        "TenantStats",
+        "load_serve_trace",
+        "save_serve_trace",
+        "zipf_serve_stream",
+    ),
+    "repro.workload.arrivals": (
+        "PoissonArrivals",
+        "TimedRequest",
+        "ZipfArrivals",
+    ),
+}
 
-__all__ = [
-    "AdmissionRejected",
-    "BatchPolicy",
-    "BatchQueue",
-    "BatchRecord",
-    "CacheError",
-    "CacheStats",
-    "CachedLibrarySystem",
-    "CachedTertiaryStorageSystem",
-    "Cartridge",
-    "DeadlineBatchPolicy",
-    "DeadlineExpired",
-    "DriveError",
-    "DriveFault",
-    "DriveReset",
-    "EventBus",
-    "Gateway",
-    "ExecutionResult",
-    "ExperimentConfig",
-    "FaultInjector",
-    "FaultPlan",
-    "Finding",
-    "LibraryBatchRecord",
-    "LibraryRequest",
-    "LinearizedModel",
-    "LintError",
-    "LintRun",
-    "LocateFault",
-    "LocateTimeModel",
-    "LogicalRead",
-    "LtspExactScheduler",
-    "LtspGreedyScheduler",
-    "LtspRepairScheduler",
-    "LtspSweepScheduler",
-    "MediaAgingModel",
-    "MetricsError",
-    "MetricsRegistry",
-    "MultiDriveSystem",
-    "NoSamplesError",
-    "PoissonArrivals",
-    "ProjectGraph",
-    "ReadFault",
-    "ReproError",
-    "Request",
-    "ResilienceConfig",
-    "ResponseStats",
-    "RetryPolicy",
-    "Schedule",
-    "Scheduler",
-    "SchedulingError",
-    "SegmentCache",
-    "ServeConfig",
-    "ServeError",
-    "ServeReport",
-    "ServeRequest",
-    "ShedRecord",
-    "SimulatedDrive",
-    "StripedReadCoordinator",
-    "StripedVolume",
-    "TabularResult",
-    "TapeGeometry",
-    "TapeLibrary",
-    "TenantConfig",
-    "TenantLoadSpec",
-    "TenantOverloaded",
-    "TenantStats",
-    "TertiaryStorageSystem",
-    "TimedRequest",
-    "TraceError",
-    "TraceRecorder",
-    "TraceSummary",
-    "UnknownTenant",
-    "ZipfArrivals",
-    "__version__",
-    "arm_policy_names",
-    "assignment_policy_names",
-    "bind_standard_metrics",
-    "cache_stats_from_events",
-    "estimate_schedule_seconds",
-    "exact_ltsp_order",
-    "exchange_policy_names",
-    "execute_schedule",
-    "flow_rules",
-    "generate_tape",
-    "get_arm_policy",
-    "get_assignment_policy",
-    "get_exchange_policy",
-    "get_scheduler",
-    "linear_deadhead_sections",
-    "load_serve_trace",
-    "poisson_library_stream",
-    "read_events_jsonl",
-    "response_stats_from_events",
-    "result_to_rows",
-    "run_lint",
-    "save_serve_trace",
-    "scheduler_names",
-    "striped_volume",
-    "summarize_events",
-    "tiny_tape",
-    "write_events_csv",
-    "write_events_jsonl",
-    "write_result",
-    "zipf_serve_stream",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

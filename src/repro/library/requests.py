@@ -11,6 +11,7 @@ targets are uniform over (cartridge, segment).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from collections.abc import Sequence
 
@@ -53,10 +54,10 @@ def poisson_library_stream(
     """
     if not labels:
         raise ValueError("labels must be non-empty")
-    if rate_per_hour <= 0:
-        raise ValueError("rate_per_hour must be positive")
-    if horizon_seconds <= 0:
-        raise ValueError("horizon_seconds must be positive")
+    if not 0 < rate_per_hour < math.inf:
+        raise ValueError("rate_per_hour must be positive and finite")
+    if not 0 < horizon_seconds < math.inf:
+        raise ValueError("horizon_seconds must be positive and finite")
     rng = np.random.default_rng(seed)
     rate_per_second = rate_per_hour / 3600.0
     clock = 0.0

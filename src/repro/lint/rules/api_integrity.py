@@ -1,6 +1,6 @@
 """RPR005 — API/shim integrity: every exported name must resolve.
 
-``__all__`` is the facade contract (``repro.api`` re-exports ~50 names
+``__all__`` is the facade contract (``repro.api`` re-exports ~100 names
 and ``docs/API.md`` documents them as stable), and the deprecation
 shims (``repro.drive.events`` style: a ``_MOVED`` tuple plus a module
 ``__getattr__``) promise that every moved name still imports.  Both
@@ -9,10 +9,10 @@ promises break silently: a stale ``__all__`` entry only explodes on
 renamed target only explodes for the downstream user it was supposed
 to protect.
 
-This cross-module rule *imports* each module that declares an
-``__all__`` or a shim table and probes every declared name with
-``getattr`` (deprecation warnings suppressed, so warn-once shims keep
-their single shot for real callers).  Modules inside a package are
+This cross-module rule *imports* each module that assigns an
+``__all__`` or declares a shim table and probes every declared name
+with ``getattr`` (deprecation warnings suppressed, so warn-once shims
+keep their single shot for real callers).  Modules inside a package are
 imported by dotted name; detached files (fixtures) by path.
 """
 
@@ -39,7 +39,7 @@ class _Export:
 
     module: ModuleContext
     kind: str  # "__all__" or "shim"
-    names: tuple[str, ...]
+    names: tuple[str, ...]  # empty for "__all__": read on import
     line: int
     column: int
 
@@ -59,12 +59,27 @@ def _literal_strings(node: ast.AST) -> tuple[str, ...] | None:
     return tuple(names)
 
 
+def _bound_names(target: ast.expr) -> Iterable[str]:
+    """Names a top-level assignment target binds (tuples unpacked)."""
+    if isinstance(target, ast.Name):
+        yield target.id
+    elif isinstance(target, (ast.Tuple, ast.List)):
+        for element in target.elts:
+            yield from _bound_names(element)
+
+
 def _module_declarations(module: ModuleContext) -> Iterable[_Export]:
-    """``__all__`` and shim ``_MOVED`` declarations of one module."""
+    """The ``__all__`` and shim ``_MOVED`` declarations of one module.
+
+    ``__all__`` is probed in whatever form it is assigned (a literal,
+    or derived from an export table), so its names are read from the
+    imported module rather than from the source.
+    """
     has_module_getattr = any(
         isinstance(node, ast.FunctionDef) and node.name == "__getattr__"
         for node in module.tree.body
     )
+    declares_all = False
     for node in module.tree.body:
         targets: list[ast.expr] = []
         value: ast.expr | None = None
@@ -76,28 +91,26 @@ def _module_declarations(module: ModuleContext) -> Iterable[_Export]:
             value = node.value
         if value is None:
             continue
-        for target in targets:
-            if not isinstance(target, ast.Name):
-                continue
-            names = _literal_strings(value)
-            if names is None:
-                continue
-            if target.id == "__all__":
+        for name in (n for t in targets for n in _bound_names(t)):
+            if name == "__all__" and not declares_all:
+                declares_all = True
                 yield _Export(
                     module=module,
                     kind="__all__",
-                    names=names,
+                    names=(),
                     line=node.lineno,
                     column=node.col_offset + 1,
                 )
-            elif target.id == "_MOVED" and has_module_getattr:
-                yield _Export(
-                    module=module,
-                    kind="shim",
-                    names=names,
-                    line=node.lineno,
-                    column=node.col_offset + 1,
-                )
+            elif name == "_MOVED" and has_module_getattr:
+                names = _literal_strings(value)
+                if names is not None:
+                    yield _Export(
+                        module=module,
+                        kind="shim",
+                        names=names,
+                        line=node.lineno,
+                        column=node.col_offset + 1,
+                    )
 
 
 def _import_module(module: ModuleContext):
@@ -167,10 +180,17 @@ class ApiIntegrityRule(Rule):
                 )
                 return
             for export in exports:
-                for name in export.names:
+                names = (
+                    tuple(getattr(live, "__all__", ()))
+                    if export.kind == "__all__"
+                    else export.names
+                )
+                for name in names:
                     try:
                         getattr(live, name)
-                    except AttributeError:
+                    except (AttributeError, ImportError):
+                        # ImportError: a lazy export whose defining
+                        # module moved away.
                         label = (
                             "__all__ entry"
                             if export.kind == "__all__"

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 
-from repro.obs.events import Event
+from repro.obs.events import EVENT_TYPES, Event
 
 #: A subscriber: any callable taking the published event.
 Handler = Callable[[Event], None]
@@ -30,6 +30,11 @@ def _kind_names(kinds) -> frozenset[str] | None:
     names = set()
     for kind in kinds:
         if isinstance(kind, str):
+            if kind not in EVENT_TYPES:
+                raise ValueError(
+                    f"unknown event kind {kind!r}; known: "
+                    + ", ".join(sorted(EVENT_TYPES))
+                )
             names.add(kind)
         elif isinstance(kind, type) and issubclass(kind, Event):
             names.add(kind.name)

@@ -81,9 +81,10 @@ class TenantLoadSpec:
             raise ServeError(
                 f"tenant {self.name!r}: users must be >= 1"
             )
-        if not self.rate_per_hour > 0:
+        if not 0 < self.rate_per_hour < math.inf:
             raise ServeError(
-                f"tenant {self.name!r}: rate_per_hour must be positive"
+                f"tenant {self.name!r}: rate_per_hour must be positive "
+                "and finite"
             )
         if not self.zipf_alpha > 0:
             raise ServeError(
@@ -129,8 +130,8 @@ def zipf_serve_stream(
         raise ServeError("labels must be non-empty")
     if total_segments < 1:
         raise ServeError("total_segments must be >= 1")
-    if not horizon_seconds > 0:
-        raise ServeError("horizon_seconds must be positive")
+    if not 0 < horizon_seconds < math.inf:
+        raise ServeError("horizon_seconds must be positive and finite")
     requests: list[ServeRequest] = []
     for spec in specs:
         # Keyed by the tenant's name (via the namespace) and size

@@ -8,6 +8,7 @@ processes generate timed request streams for that simulation.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
@@ -47,8 +48,8 @@ class PoissonArrivals:
     _rng: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.rate_per_hour <= 0:
-            raise ValueError("rate_per_hour must be positive")
+        if not 0 < self.rate_per_hour < math.inf:
+            raise ValueError("rate_per_hour must be positive and finite")
         self._rng = np.random.default_rng(self.seed)
 
     def stream(self, horizon_seconds: float) -> Iterator[TimedRequest]:
@@ -87,8 +88,8 @@ class ZipfArrivals:
     _rng: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.rate_per_hour <= 0:
-            raise ValueError("rate_per_hour must be positive")
+        if not 0 < self.rate_per_hour < math.inf:
+            raise ValueError("rate_per_hour must be positive and finite")
         self._rng = np.random.default_rng(self.seed)
 
     def stream(self, horizon_seconds: float) -> Iterator[TimedRequest]:

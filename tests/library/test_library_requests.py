@@ -1,5 +1,7 @@
 """Library requests and the multi-tape Poisson stream."""
 
+import math
+
 import pytest
 
 from repro.library.requests import (
@@ -93,6 +95,22 @@ class TestPoissonLibraryStream:
                 dict(
                     labels=["a"], rate_per_hour=1.0,
                     horizon_seconds=0.0,
+                ),
+                "horizon_seconds",
+            ),
+            (dict(labels=["a"], rate_per_hour=math.nan), "rate_per_hour"),
+            (dict(labels=["a"], rate_per_hour=math.inf), "rate_per_hour"),
+            (
+                dict(
+                    labels=["a"], rate_per_hour=1.0,
+                    horizon_seconds=math.nan,
+                ),
+                "horizon_seconds",
+            ),
+            (
+                dict(
+                    labels=["a"], rate_per_hour=1.0,
+                    horizon_seconds=math.inf,
                 ),
                 "horizon_seconds",
             ),

@@ -38,7 +38,9 @@ CORPUS = {
     "rpr004/clean_no_registry": set(),
     "rpr005/bad_stale_all.py": {"RPR005"},
     "rpr005/bad_broken_shim.py": {"RPR005"},
+    "rpr005/bad_derived_all.py": {"RPR005"},
     "rpr005/clean_all.py": set(),
+    "rpr005/clean_derived_all.py": set(),
     "rpr005/clean_shim.py": set(),
     "rpr006/bad_bare_timeout.py": {"RPR006"},
     "rpr006/bad_ms_suffix.py": {"RPR006"},

@@ -84,6 +84,15 @@ class TestFiltering:
         with pytest.raises(TypeError):
             bus.subscribe(lambda e: None, kinds=[42])
 
+    def test_unknown_kind_name_rejected(self):
+        # A misspelt name would otherwise match nothing, silently.
+        bus = EventBus()
+        with pytest.raises(ValueError, match="'queue.admitt'"):
+            bus.collect("queue.admitt")
+        with pytest.raises(ValueError, match="'cache.hits'"):
+            bus.subscribe(lambda e: None, kinds=["cache.hit", "cache.hits"])
+        assert bus.subscriber_count == 0
+
 
 class TestLifecycle:
     def test_unsubscribe_stops_delivery(self):

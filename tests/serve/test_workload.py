@@ -1,5 +1,7 @@
 """The multi-tenant load generator and its trace round-trip."""
 
+import math
+
 import pytest
 
 from repro.exceptions import ServeError, TraceError
@@ -26,6 +28,8 @@ class TestSpecs:
             {"name": "t", "users": 1, "rate_per_hour": 0.0},
             {"name": "t", "users": 1, "rate_per_hour": 1.0, "zipf_alpha": 0.0},
             {"name": "t", "users": 1, "rate_per_hour": 1.0, "weight": 0.0},
+            {"name": "t", "users": 1, "rate_per_hour": math.nan},
+            {"name": "t", "users": 1, "rate_per_hour": math.inf},
         ],
     )
     def test_rejects_bad_fields(self, kwargs):
@@ -40,6 +44,11 @@ class TestSpecs:
     def test_rejects_empty_labels(self):
         with pytest.raises(ServeError):
             zipf_serve_stream(SPECS, [])
+
+    @pytest.mark.parametrize("horizon", [0.0, math.nan, math.inf])
+    def test_rejects_bad_horizon(self, horizon):
+        with pytest.raises(ServeError, match="horizon_seconds"):
+            zipf_serve_stream(SPECS, LABELS, horizon_seconds=horizon)
 
 
 class TestStream:

@@ -2,7 +2,11 @@
 
 import importlib
 import inspect
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -217,6 +221,86 @@ class TestPublicSurface:
         )
         assert stats.count == 2
         assert system.cache_stats.hits == 1
+
+
+def _fresh(code):
+    """Run ``code`` in a fresh interpreter; return its printed JSON."""
+    source = str(Path(repro.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(
+        os.environ,
+        PYTHONPATH=source if not path else source + os.pathsep + path,
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    return json.loads(done.stdout)
+
+
+#: Prints the loaded ``repro`` and ``numpy`` modules as JSON.
+_LOADED = (
+    "print(json.dumps(sorted(m for m in sys.modules if m == 'repro' "
+    "or m.startswith(('repro.', 'numpy')))))"
+)
+
+
+class TestLazyFacades:
+    """The facades resolve names on first access and load nothing
+    else up front."""
+
+    def test_import_repro_loads_no_subsystem(self):
+        loaded = _fresh(f"import json, sys\nimport repro\n{_LOADED}")
+        assert set(loaded) <= {"repro", "repro._version"}
+
+    def test_scheduling_loads_no_tooling_or_service_layer(self):
+        loaded = _fresh(
+            f"import json, sys\nimport repro.scheduling\n{_LOADED}"
+        )
+        assert "repro.scheduling" in loaded
+        assert not [
+            module for module in loaded
+            if module.split(".")[:2] in (
+                ["repro", "lint"], ["repro", "cache"],
+                ["repro", "serve"], ["repro", "experiments"],
+            )
+        ]
+
+    @pytest.mark.parametrize("facade", ["repro", "repro.api"])
+    def test_dir_and_star_import_before_any_access(self, facade):
+        listed, exported, bound, lint_loaded = _fresh(
+            "import importlib, json, sys\n"
+            f"facade = importlib.import_module({facade!r})\n"
+            "listed = dir(facade)\n"
+            "namespace = {}\n"
+            f"exec('from {facade} import *', namespace)\n"
+            "print(json.dumps([listed, facade.__all__, "
+            "sorted(set(namespace) - {'__builtins__'}), "
+            "'repro.lint' in sys.modules]))"
+        )
+        assert set(listed) >= set(exported)
+        assert sorted(bound) == sorted(exported)
+        # Only the lint names on repro.api load the analyzer.
+        assert lint_loaded == (facade == "repro.api")
+
+    @pytest.mark.parametrize("facade", ["repro", "repro.api"])
+    def test_names_are_their_defining_modules_attributes(self, facade):
+        module = importlib.import_module(facade)
+        for source, names in module._EXPORTS.items():
+            for name in names:
+                expected = (
+                    importlib.import_module(f"{source}.{name}")
+                    if source == facade
+                    else getattr(importlib.import_module(source), name)
+                )
+                assert getattr(module, name) is expected, name
+
+    @pytest.mark.parametrize("facade", ["repro", "repro.api"])
+    def test_each_name_is_written_once(self, facade):
+        module = importlib.import_module(facade)
+        names = [n for group in module._EXPORTS.values() for n in group]
+        assert len(names) == len(set(names))
+        assert sorted(names) == module.__all__
 
 
 class TestRemovedShims:

@@ -1,8 +1,10 @@
 """Poisson arrival process."""
 
+import math
+
 import pytest
 
-from repro.workload import PoissonArrivals
+from repro.workload import PoissonArrivals, ZipfArrivals, ZipfWorkload
 
 
 class TestPoisson:
@@ -35,8 +37,14 @@ class TestPoisson:
         ]
 
     def test_invalid_rate(self):
-        with pytest.raises(ValueError):
-            PoissonArrivals(rate_per_hour=0.0)
+        # NaN never ends the horizon loop and inf draws zero gaps, so
+        # either would generate requests without bound.
+        workload = ZipfWorkload(total_segments=1000, universe=100)
+        for rate in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="rate_per_hour"):
+                PoissonArrivals(rate_per_hour=rate)
+            with pytest.raises(ValueError, match="rate_per_hour"):
+                ZipfArrivals(rate_per_hour=rate, workload=workload)
 
     def test_streaming_matches_batch(self):
         gen = PoissonArrivals(80.0, 500, seed=5)
