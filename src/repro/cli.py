@@ -11,6 +11,7 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from collections.abc import Sequence
 
@@ -72,6 +73,19 @@ _ALL_ORDER = (
     "figure7x", "figure8", "figure9", "figure10", "summary", "seeds",
     "generations", "gaps",
 )
+
+
+def positive_finite(text: str) -> float:
+    """argparse ``type=``: a float in (0, inf).
+
+    argparse turns the ``ValueError`` into a usage error (exit 2) that
+    names the flag, so 0, negatives, NaN and inf never reach a
+    simulation (a NaN or infinite horizon would never end).
+    """
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise ValueError(f"{text!r} is not positive and finite")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -173,11 +187,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="distinct hot segments in the workload (default: 4000)",
     )
     cache.add_argument(
-        "--rate-per-hour", type=float, default=120.0,
+        "--rate-per-hour", type=positive_finite, default=120.0,
         help="Poisson arrival rate (default: 120)",
     )
     cache.add_argument(
-        "--horizon-hours", type=float, default=None,
+        "--horizon-hours", type=positive_finite, default=None,
         help="simulated hours (default: set by --scale)",
     )
     chaos_group = parser.add_argument_group(

@@ -60,6 +60,7 @@ from repro.obs.events import (
     SweepStarted,
 )
 from repro.scheduling.base import get_scheduler
+from repro.scheduling.request import as_requests
 from repro.workload.seed_stream import trial_workload
 
 #: Trials per chunk.  Fixed — never derived from the worker count —
@@ -142,9 +143,10 @@ def run_chunk(
             trial,
             spec.namespace,
         )
-        origin, batch = workload.sample_batch_with_origin(
+        origin, segments = workload.sample_batch_with_origin(
             task.length, spec.origin_at_start
         )
+        batch = as_requests(segments)
         for name in spec.algorithms:
             if name.startswith("OPT") and (
                 task.length > OPT_MAX_LENGTH or trial >= task.opt_budget

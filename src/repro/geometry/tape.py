@@ -241,6 +241,13 @@ class TapeGeometry:
             self._seg_soi.item(segment),
         )
 
+    def global_section(self, segment: int) -> int:
+        """:meth:`global_section_of` of one segment, as a Python int."""
+        return (
+            self._seg_track.item(segment) * SECTIONS_PER_TRACK
+            + self._seg_soi.item(segment)
+        )
+
     def scan_fields(
         self, track: int, ordinal_section: int
     ) -> tuple[float, int]:

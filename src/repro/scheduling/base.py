@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import abc
 from collections.abc import Callable, Iterable, Sequence
+from operator import add, attrgetter
 
 from repro.exceptions import SchedulingError
+from repro.geometry.tape import TapeGeometry
 from repro.scheduling.estimator import estimate_schedule_seconds
 from repro.scheduling.request import Request, as_requests, check_batch
 from repro.scheduling.schedule import Schedule
@@ -42,12 +44,7 @@ class Scheduler(abc.ABC):
         batch = as_requests(requests)
         check_batch(batch)
         model.geometry.check_segment(origin)
-        for request in batch:
-            model.geometry.check_segment(request.segment)
-            if request.end_segment > model.geometry.total_segments:
-                raise SchedulingError(
-                    f"request {request} reads past end of data"
-                )
+        _check_bounds(model.geometry, batch)
         ordered = self._order(model, origin, batch)
         schedule = Schedule(
             requests=tuple(ordered),
@@ -75,6 +72,31 @@ class Scheduler(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"
+
+
+_SEGMENT = attrgetter("segment")
+_LENGTH = attrgetter("length")
+
+
+def _check_bounds(
+    geometry: TapeGeometry, batch: tuple[Request, ...]
+) -> None:
+    """Reject a request that starts or reads past the end of the tape.
+
+    A :class:`Request` has ``segment >= 0`` and ``length >= 1``, so the
+    batch is on tape iff its largest end segment is; that is one C-level
+    pass.  Only a failing batch walks its requests, to raise for the
+    first offender in batch order.
+    """
+    total = geometry.total_segments
+    if max(map(add, map(_SEGMENT, batch), map(_LENGTH, batch))) <= total:
+        return
+    for request in batch:
+        geometry.check_segment(request.segment)
+        if request.end_segment > total:
+            raise SchedulingError(
+                f"request {request} reads past end of data"
+            )
 
 
 #: Global registry of scheduler factories, keyed by algorithm name.

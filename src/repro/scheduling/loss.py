@@ -19,6 +19,7 @@ uniformly random requests.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
 import numpy as np
@@ -33,6 +34,8 @@ from repro.scheduling.coalesce import (
     expand_groups,
 )
 from repro.scheduling.request import Request
+
+_INF = math.inf
 
 
 def loss_path(distance: np.ndarray) -> list[int]:
@@ -63,6 +66,20 @@ def loss_path_fragments(distance: np.ndarray) -> list[list[int]]:
     that is after ``m - 1`` edges (one fragment — the full path), on a
     matrix with missing (+inf) edges possibly earlier.
 
+    Each step takes the city with the largest loss (first index on
+    ties), preferring its out-side when ``out-loss >= in-loss``, and
+    commits that side's shortest edge (first index on ties).  A city
+    with no candidate edge left has loss -inf; one with a single
+    candidate is forced (loss +inf).
+
+    The kernel is incremental.  For every row and column it keeps the
+    index of its shortest live entry, the index of the shortest entry
+    once that one is set aside (ties count: ``[1, 1, 5]`` has two 1s),
+    and the loss they give.  A commit removes row ``u``, column ``v``
+    and the tail -> head entry, so it rescans only the lines whose
+    shortest or second entry was among those.  A NaN entry raises
+    :class:`SchedulingError`.
+
     Fragments are returned head-first; the fragment starting with node
     0 (if any edges were added at all) comes first.
     """
@@ -72,16 +89,27 @@ def loss_path_fragments(distance: np.ndarray) -> list[list[int]]:
     if m == 1:
         return [[0]]
     work = distance.astype(np.float64, copy=True)
+    if np.isnan(work).any():
+        raise SchedulingError("distance matrix contains NaN")
     np.fill_diagonal(work, np.inf)
     work[:, 0] = np.inf
+    rows = work.tolist()
+    cols = work.T.tolist()
+    # Removed rows and columns stay in the lists; scans read only the
+    # cross indices still live.
+    live_rows = list(range(m))
+    live_cols = list(range(m))
+    out_best, out_second, out_loss = _line_stats(work)
+    in_best, in_second, in_loss = _line_stats(work.T)
+    loss = [max(pair) for pair in zip(out_loss, in_loss)]
 
-    successor = np.full(m, -1, dtype=np.int64)
-    predecessor = np.full(m, -1, dtype=np.int64)
+    successor = [-1] * m
+    predecessor = [-1] * m
     # Path-fragment bookkeeping: every node starts as a singleton
     # fragment; head/tail are tracked at the fragment representative.
-    parent = np.arange(m, dtype=np.int64)
-    head = np.arange(m, dtype=np.int64)
-    tail = np.arange(m, dtype=np.int64)
+    parent = list(range(m))
+    head = list(range(m))
+    tail = list(range(m))
 
     def find(node: int) -> int:
         root = node
@@ -92,73 +120,117 @@ def loss_path_fragments(distance: np.ndarray) -> list[list[int]]:
         return root
 
     for _ in range(m - 1):
-        edge = _select_edge(work)
-        if edge is None:
+        top = max(loss)
+        if top == -_INF:
             break
-        u, v = edge
+        city = loss.index(top)
+        if out_loss[city] >= in_loss[city]:
+            u, v = city, out_best[city]
+        else:
+            u, v = in_best[city], city
         successor[u] = v
         predecessor[v] = u
-        work[u, :] = np.inf
-        work[:, v] = np.inf
         root_u, root_v = find(u), find(v)
         parent[root_v] = root_u
         new_head, new_tail = head[root_u], tail[root_v]
         head[root_u], tail[root_u] = new_head, new_tail
+
+        # Row u and column v are done; index -1 keeps _lines_at from
+        # ever reporting them as stale.
+        out_best[u] = out_second[u] = -1
+        out_loss[u] = -_INF
+        in_best[v] = in_second[v] = -1
+        in_loss[v] = -_INF
+        live_rows.remove(u)
+        live_cols.remove(v)
+        stale_rows = _lines_at(out_best, out_second, v)
+        stale_cols = _lines_at(in_best, in_second, u)
         # Forbid closing the fragment into a cycle.
-        work[new_tail, new_head] = np.inf
+        rows[new_tail][new_head] = cols[new_head][new_tail] = _INF
+        if new_head in (out_best[new_tail], out_second[new_tail]):
+            stale_rows.add(new_tail)
+        if new_tail in (in_best[new_head], in_second[new_head]):
+            stale_cols.add(new_head)
+        for i in sorted(stale_rows):
+            out_best[i], out_second[i], out_loss[i] = _rescan(
+                rows[i], live_cols
+            )
+            loss[i] = max(out_loss[i], in_loss[i])
+        for j in sorted(stale_cols):
+            in_best[j], in_second[j], in_loss[j] = _rescan(
+                cols[j], live_rows
+            )
+            loss[j] = max(out_loss[j], in_loss[j])
+        loss[u] = max(out_loss[u], in_loss[u])
+        loss[v] = max(out_loss[v], in_loss[v])
 
     fragments: list[list[int]] = []
     for node in range(m):
         if predecessor[node] != -1:
             continue
         fragment = [node]
-        cursor = int(successor[node])
+        cursor = successor[node]
         while cursor != -1:
             fragment.append(cursor)
-            cursor = int(successor[cursor])
+            cursor = successor[cursor]
         fragments.append(fragment)
     fragments.sort(key=lambda fragment: fragment[0] != 0)
     return fragments
 
 
-def _select_edge(work: np.ndarray) -> tuple[int, int] | None:
-    """Pick the next edge by the max-loss rule; None when exhausted."""
-    with np.errstate(invalid="ignore"):
-        row_two = np.partition(work, 1, axis=1)[:, :2]
-        col_two = np.partition(work, 1, axis=0)[:2, :]
-        out_loss = row_two[:, 1] - row_two[:, 0]
-        in_loss = col_two[1, :] - col_two[0, :]
-    out_loss = _sanitize_loss(out_loss, row_two[:, 0], row_two[:, 1])
-    in_loss = _sanitize_loss(in_loss, col_two[0, :], col_two[1, :])
+def _line_stats(
+    matrix: np.ndarray,
+) -> tuple[list[int], list[int], list[float]]:
+    """Shortest index, second index and loss of every row of ``matrix``.
 
-    loss = np.maximum(out_loss, in_loss)
-    city = int(np.argmax(loss))
-    if loss[city] == -np.inf:
-        return None
-    if out_loss[city] >= in_loss[city]:
-        u = city
-        v = int(np.argmin(work[city, :]))
-    else:
-        v = city
-        u = int(np.argmin(work[:, city]))
-    return u, v
-
-
-def _sanitize_loss(
-    loss: np.ndarray, best: np.ndarray, second: np.ndarray
-) -> np.ndarray:
-    """Resolve the inf arithmetic of exhausted/forced cities.
-
-    A city with no remaining candidate edge cannot be selected
-    (loss -inf); a city with exactly one candidate is forced
-    (loss +inf).
+    The vectorized twin of :func:`_rescan` over all columns.
     """
-    loss = loss.copy()
-    no_candidate = ~np.isfinite(best)
-    forced = np.isfinite(best) & ~np.isfinite(second)
-    loss[no_candidate] = -np.inf
-    loss[forced] = np.inf
-    return loss
+    index = np.arange(matrix.shape[0])
+    best = matrix.argmin(axis=1)
+    low = matrix[index, best]
+    rest = matrix.copy()
+    rest[index, best] = np.inf
+    second = rest.argmin(axis=1)
+    next_low = rest[index, second]
+    with np.errstate(invalid="ignore"):
+        loss = next_low - low
+    loss[~np.isfinite(next_low)] = np.inf
+    loss[~np.isfinite(low)] = -np.inf
+    return best.tolist(), second.tolist(), loss.tolist()
+
+
+def _rescan(line: list[float], live: list[int]) -> tuple[int, int, float]:
+    """``(shortest index, second index, loss)`` of a line's live entries.
+
+    The loss is the gap between the two entries: -inf when the line has
+    no finite entry left, +inf when it has exactly one.
+    """
+    values = [line[k] for k in live]
+    if not values:
+        return -1, -1, -_INF
+    low = min(values)
+    first = values.index(low)
+    values[first] = _INF
+    next_low = min(values)
+    following = values.index(next_low)
+    if not math.isfinite(low):
+        loss = -_INF
+    elif not math.isfinite(next_low):
+        loss = _INF
+    else:
+        loss = next_low - low
+    return live[first], live[following], loss
+
+
+def _lines_at(best: list[int], second: list[int], index: int) -> set[int]:
+    """Lines whose shortest or second entry is at cross ``index``."""
+    found: set[int] = set()
+    for column in (best, second):
+        line = -1
+        for _ in range(column.count(index)):
+            line = column.index(index, line + 1)
+            found.add(line)
+    return found
 
 
 @register

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -48,7 +49,7 @@ def as_requests(items: Iterable[int | Request]) -> tuple[Request, ...]:
     objects is returned as-is.
     """
     if isinstance(items, tuple) and all(
-        type(item) is Request for item in items
+        map(isinstance, items, repeat(Request))
     ):
         return items
     return tuple(

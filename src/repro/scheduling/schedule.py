@@ -4,10 +4,14 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
 from repro.scheduling.request import Request, request_segments
+
+#: ``(segment, length)`` of a request: its equality and order key.
+_KEY = attrgetter("segment", "length")
 
 
 @dataclass(frozen=True)
@@ -55,8 +59,17 @@ class Schedule:
         return self._segments_cache["segments"]
 
     def is_permutation_of(self, requests: Sequence[Request]) -> bool:
-        """True if this schedule contains exactly the given requests."""
-        return sorted(self.requests) == sorted(requests)
+        """True if this schedule contains exactly the given requests.
+
+        Compares ``(segment, length)`` tuples, which is what
+        :class:`Request` equality and order are defined over; sorting
+        tuples skips the dataclass's Python-level ``__lt__``.
+        """
+        if len(self.requests) != len(requests):
+            return False
+        return sorted(map(_KEY, self.requests)) == sorted(
+            map(_KEY, requests)
+        )
 
     def with_estimate(self, seconds: float) -> "Schedule":
         """Copy of the schedule with ``estimated_seconds`` filled in."""

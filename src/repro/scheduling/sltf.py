@@ -44,7 +44,7 @@ from repro.scheduling.coalesce import (
     coalesce_by_threshold,
     expand_groups,
 )
-from repro.scheduling.request import Request
+from repro.scheduling.request import Request, request_segments
 
 
 def _out_position(model, request: Request) -> int:
@@ -72,20 +72,30 @@ class SltfScheduler(Scheduler):
     ) -> Sequence[Request]:
         geo = model.geometry
         ordered = sorted(requests, key=lambda r: (r.segment, r.length))
-        segments = np.fromiter(
-            (r.segment for r in ordered), dtype=np.int64, count=len(ordered)
-        )
-        section_ids = geo.global_section_of(segments)
+        section_ids = geo.global_section_of(request_segments(ordered))
 
         # Section id -> list of requests, ascending (lists stay sorted).
         buckets: dict[int, list[Request]] = {}
         for request, sid in zip(ordered, section_ids.tolist()):
             buckets.setdefault(sid, []).append(request)
 
+        # Fact 2's candidates: each non-empty section's first request,
+        # in ascending section id.  Read-ahead only takes requests at
+        # or past the head, so a section keeps its first request until
+        # it empties; the table never changes, only ``alive`` does.
+        sids = sorted(buckets)
+        slot = {sid: k for k, sid in enumerate(sids)}
+        firsts = np.fromiter(
+            (buckets[sid][0].segment for sid in sids),
+            dtype=np.int64,
+            count=len(sids),
+        )
+        alive = np.ones(len(sids), dtype=bool)
+
         schedule: list[Request] = []
         position = origin
         while buckets:
-            here = int(geo.global_section_of(np.asarray([position]))[0])
+            here = geo.global_section(position)
             bucket = buckets.get(here)
             if bucket is not None:
                 ahead = [r for r in bucket if r.segment >= position]
@@ -97,18 +107,14 @@ class SltfScheduler(Scheduler):
                         buckets[here] = remaining
                     else:
                         del buckets[here]
+                        alive[slot[here]] = False
                     position = _out_position(model, ahead[-1])
                     continue
-            # Fact 2: only each section's first request can be nearest.
-            sids = sorted(buckets)
-            candidates = np.fromiter(
-                (buckets[sid][0].segment for sid in sids),
-                dtype=np.int64,
-                count=len(sids),
-            )
-            times = model.locate_times(position, candidates)
-            chosen = sids[int(np.argmin(times))]
-            taken = buckets.pop(chosen)
+            live = np.flatnonzero(alive)
+            times = model.locate_times(position, firsts[live])
+            chosen = int(live[int(np.argmin(times))])
+            alive[chosen] = False
+            taken = buckets.pop(sids[chosen])
             schedule.extend(taken)
             position = _out_position(model, taken[-1])
         return schedule

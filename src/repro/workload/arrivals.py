@@ -66,7 +66,8 @@ class PoissonArrivals:
             )
 
     def batch(self, horizon_seconds: float) -> list[TimedRequest]:
-        """Materialized :meth:`stream`."""
+        """Materialized :meth:`stream` over a finite horizon."""
+        _check_horizon(horizon_seconds)
         return list(self.stream(horizon_seconds))
 
 
@@ -106,5 +107,19 @@ class ZipfArrivals:
             yield TimedRequest(arrival_seconds=clock, segment=segment)
 
     def batch(self, horizon_seconds: float) -> list[TimedRequest]:
-        """Materialized :meth:`stream`."""
+        """Materialized :meth:`stream` over a finite horizon."""
+        _check_horizon(horizon_seconds)
         return list(self.stream(horizon_seconds))
+
+
+def _check_horizon(horizon_seconds: float) -> None:
+    """Reject a horizon that is negative or not finite.
+
+    ``stream(inf)`` is a legitimate endless generator, and NaN never
+    ends it either; materializing either would never return.
+    """
+    if not 0 <= horizon_seconds < math.inf:
+        raise ValueError(
+            "horizon_seconds must be finite and >= 0, "
+            f"got {horizon_seconds!r}"
+        )

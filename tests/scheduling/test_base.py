@@ -62,6 +62,17 @@ class TestValidation:
         with pytest.raises(SchedulingError):
             get_scheduler("FIFO").schedule(tiny_model, 0, [request])
 
+    def test_first_offender_reported(self, tiny_model, tiny):
+        total = tiny.total_segments
+        batch = [Request(3), Request(total + 7), Request(total)]
+        with pytest.raises(SegmentOutOfRange) as info:
+            get_scheduler("FIFO").schedule(tiny_model, 0, batch)
+        assert info.value.segment == total + 7
+        # An overrun ahead of an off-tape start is reported first.
+        batch = [Request(total - 2, length=4), Request(total + 7)]
+        with pytest.raises(SchedulingError, match="past end of data"):
+            get_scheduler("FIFO").schedule(tiny_model, 0, batch)
+
 
 class TestContract:
     def test_estimate_filled_in(self, tiny_model):
@@ -78,6 +89,33 @@ class TestContract:
 
         with pytest.raises(SchedulingError):
             Broken().schedule(tiny_model, 0, [1, 2, 3])
+
+    @pytest.mark.parametrize(
+        "batch, returned",
+        [
+            # Same length: one request duplicated, another dropped.
+            (
+                [Request(1), Request(2), Request(3)],
+                [Request(1), Request(2), Request(2)],
+            ),
+            # Same segments and same lengths, paired differently.
+            (
+                [Request(5, length=1), Request(9, length=2)],
+                [Request(5, length=2), Request(9, length=1)],
+            ),
+        ],
+    )
+    def test_same_length_non_permutation_caught(
+        self, tiny_model, batch, returned
+    ):
+        class Broken(Scheduler):
+            name = "BROKEN"
+
+            def _order(self, model, origin, requests):
+                return returned
+
+        with pytest.raises(SchedulingError, match="non-permutation"):
+            Broken().schedule(tiny_model, 0, batch)
 
     def test_accepts_plain_integers(self, tiny_model):
         schedule = get_scheduler("FIFO").schedule(tiny_model, 0, [5, 2])

@@ -65,6 +65,12 @@ class TestLossPath:
         with pytest.raises(SchedulingError):
             loss_path(np.zeros((3, 4)))
 
+    def test_rejects_nan(self):
+        matrix = path_matrix(np.ones((3, 3)))
+        matrix[1, 2] = np.nan
+        with pytest.raises(SchedulingError, match="NaN"):
+            loss_path(matrix)
+
 
 def _path_cost(matrix, order):
     cost = matrix[0, order[0]]

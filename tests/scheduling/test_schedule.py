@@ -31,6 +31,21 @@ class TestSchedule:
             [Request(1), Request(3), Request(3)]
         )
 
+    def test_permutation_check_same_length(self):
+        schedule = make([Request(1), Request(3), Request(3)])
+        # One request duplicated, another dropped.
+        assert not schedule.is_permutation_of(
+            [Request(1), Request(1), Request(3)]
+        )
+        # Same segment, different length.
+        swapped = make([Request(5, length=2), Request(9, length=1)])
+        assert not swapped.is_permutation_of(
+            [Request(5, length=1), Request(9, length=2)]
+        )
+        assert swapped.is_permutation_of(
+            [Request(9, length=1), Request(5, length=2)]
+        )
+
     def test_with_estimate(self):
         schedule = make([Request(3)])
         updated = schedule.with_estimate(42.0)

@@ -185,6 +185,18 @@ class TestMain:
         with pytest.raises(SystemExit):
             main(["library-sim", "--drives", "0"])
 
+    @pytest.mark.parametrize(
+        "flag", ["--rate-per-hour", "--horizon-hours"]
+    )
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf", "x"])
+    def test_rate_and_horizon_are_positive_finite(self, flag, value, capsys):
+        # A usage error (exit 2) at parse time, before any simulation:
+        # a NaN or infinite horizon would otherwise never end.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["library-sim", flag, value])
+        assert exit_info.value.code == 2
+        assert flag in capsys.readouterr().err
+
     def test_runs_optimality_smoke(self, capsys):
         assert main(["optimality", "--smoke"]) == 0
         out = capsys.readouterr().out

@@ -46,6 +46,22 @@ class TestPoisson:
             with pytest.raises(ValueError, match="rate_per_hour"):
                 ZipfArrivals(rate_per_hour=rate, workload=workload)
 
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, -1.0])
+    def test_batch_rejects_bad_horizon(self, horizon):
+        # A NaN or infinite horizon never ends the loop.
+        workload = ZipfWorkload(total_segments=1000, universe=100)
+        for arrivals in (
+            PoissonArrivals(rate_per_hour=50.0, total_segments=1000),
+            ZipfArrivals(rate_per_hour=50.0, workload=workload),
+        ):
+            with pytest.raises(ValueError, match="horizon_seconds"):
+                arrivals.batch(horizon)
+
+    def test_stream_stays_endless_on_inf(self):
+        stream = PoissonArrivals(50.0, 1000, seed=6).stream(math.inf)
+        arrivals = [next(stream) for _ in range(500)]
+        assert arrivals[-1].arrival_seconds > 0
+
     def test_streaming_matches_batch(self):
         gen = PoissonArrivals(80.0, 500, seed=5)
         first = list(gen.stream(1800.0))
