@@ -87,7 +87,7 @@ class ExperimentConfig:
     scale:
         Trial-count scale: ``quick``, ``full``, or ``paper``.
     max_length:
-        Truncate the grid (benches use small prefixes).
+        Truncate the grid (benches use small prefixes); at least 1.
     """
 
     tape_seed: int = 1
@@ -101,6 +101,15 @@ class ExperimentConfig:
             raise ExperimentError(
                 f"unknown scale {self.scale!r}; pick from "
                 f"{sorted(_SCALES)}"
+            )
+        if self.max_length is not None and self.max_length < 1:
+            # An empty grid would report a table with no rows.
+            raise ExperimentError(
+                f"max_length must be >= 1, got {self.max_length}"
+            )
+        if self.tape_seed < 0:
+            raise ExperimentError(
+                f"tape_seed must be >= 0, got {self.tape_seed}"
             )
 
     @property

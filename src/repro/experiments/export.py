@@ -15,23 +15,6 @@ import csv
 import json
 from pathlib import Path
 
-from repro.experiments.runner import PerLocateResult
-from repro.experiments.validation import ValidationResult
-
-
-def per_locate_to_rows(result: PerLocateResult) -> list[dict]:
-    """Flatten a Figure 4/5 result into records.
-
-    Kept as a thin wrapper over the result's own
-    :meth:`~repro.experiments.runner.PerLocateResult.to_dict`.
-    """
-    return result.to_dict()
-
-
-def validation_to_rows(result: ValidationResult) -> list[dict]:
-    """Flatten a Figure 8/9 result into records (wrapper, see above)."""
-    return result.to_dict()
-
 
 def result_to_rows(result) -> list[dict]:
     """Flatten any tabular result into records.

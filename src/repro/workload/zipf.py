@@ -10,6 +10,7 @@ when requests cluster.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,8 +47,10 @@ class ZipfWorkload:
     _cdf: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < math.inf:
+            # A NaN alpha makes the CDF all NaN: every draw is the same
+            # segment, and sample_batch never collects a distinct batch.
+            raise ValueError("alpha must be positive and finite")
         if not 0 < self.universe <= self.total_segments:
             raise ValueError("universe must be in (0, total_segments]")
         if self.placement not in ("scattered", "clustered"):

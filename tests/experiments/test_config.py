@@ -27,6 +27,19 @@ class TestGrid:
             PAPER_SCHEDULE_LENGTHS
         )
 
+    @pytest.mark.parametrize("max_length", [0, -3])
+    def test_empty_grid_rejected(self, max_length):
+        # An empty grid would print a headers-only table and succeed.
+        with pytest.raises(ExperimentError, match="max_length"):
+            ExperimentConfig(max_length=max_length)
+
+    def test_negative_tape_seed_rejected(self):
+        with pytest.raises(ExperimentError, match="tape_seed"):
+            ExperimentConfig(tape_seed=-5)
+
+    def test_negative_workload_seed_allowed(self):
+        assert ExperimentConfig(workload_seed=-5).workload_seed == -5
+
 
 class TestTrialTables:
     def test_paper_counts(self):

@@ -7,9 +7,7 @@ import pytest
 
 from repro.experiments import ExperimentConfig, run_per_locate
 from repro.experiments.export import (
-    per_locate_to_rows,
     result_to_rows,
-    validation_to_rows,
     write_csv,
     write_json,
     write_result,
@@ -27,7 +25,7 @@ def per_locate():
 
 class TestFlattening:
     def test_per_locate_records(self, per_locate):
-        records = per_locate_to_rows(per_locate)
+        records = result_to_rows(per_locate)
         # FIFO at both lengths, OPT at both (4 and 16 <= 12? 16 > 12 so
         # OPT skipped there): 3 records.
         algorithms = {(r["algorithm"], r["length"]) for r in records}
@@ -45,7 +43,7 @@ class TestFlattening:
         result = figure8.run(
             ExperimentConfig(scale="quick", max_length=16)
         )
-        records = validation_to_rows(result)
+        records = result_to_rows(result)
         assert all(r["label"] == "figure8" for r in records)
         assert {r["length"] for r in records} == {8, 16}
 

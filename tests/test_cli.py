@@ -1,8 +1,23 @@
 """Command-line interface."""
 
+import csv
+import re
+import shlex
+from pathlib import Path
+from types import SimpleNamespace
+
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
+from repro.experiments import (
+    chaos,
+    figure1,
+    library_sim,
+    optimality,
+    section3_stats,
+    serve_sim,
+)
 
 
 class TestParser:
@@ -16,7 +31,7 @@ class TestParser:
     def test_all_flags(self):
         args = build_parser().parse_args(
             [
-                "figure8",
+                "figure4",
                 "--scale", "full",
                 "--tape-seed", "9",
                 "--workload-seed", "4",
@@ -70,7 +85,7 @@ class TestParser:
         args = build_parser().parse_args(["library-sim"])
         assert args.experiment == "library-sim"
         assert args.drives is None
-        assert args.cartridges is None
+        assert args.cartridges == library_sim.DEFAULT_CARTRIDGES
         assert args.assignment_policy is None
         assert args.exchange_policy == "drain"
 
@@ -86,8 +101,124 @@ class TestParser:
         assert args.drives == [1, 4]
         assert args.assignment_policy == ["affinity", "least-loaded"]
 
+    def test_per_experiment_defaults(self):
+        chaos_args = build_parser().parse_args(["chaos", "--library"])
+        assert (chaos_args.drives, chaos_args.arms) == (4, 2)
+        assert chaos_args.cartridges == 6
+        serve_args = build_parser().parse_args(["serve-sim"])
+        assert serve_args.cartridges == serve_sim.DEFAULT_CARTRIDGES
+        assert serve_args.backend_depth == serve_sim.DEFAULT_BACKEND_DEPTH
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["figure8", "--scale", "full"],  # validation trials are fixed
+            ["figure1", "--workload-seed", "3"],
+            ["serve-sim", "--rate-per-hour", "60"],
+            ["gaps", "--max-length", "8"],
+            ["all", "--out", "all.csv"],
+        ],
+    )
+    def test_flags_an_experiment_does_not_read_are_rejected(self, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+
 
 class TestMain:
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["figure4", "--max-length", "0"], "--max-length"),
+            (["figure4", "--tape-seed", "-5"], "--tape-seed"),
+            (["figure4", "--workers", "-1"], "--workers"),
+            (["figure4", "--out", "fig4.xlsx"], "--out"),
+            (["trace", "--max-batch", "0"], "--max-batch"),
+            (["cache-sim", "--hot-set", "0"], "--hot-set"),
+            (["cache-sim", "--zipf-alpha", "nan"], "--zipf-alpha"),
+            (["cache-sim", "--cache-capacity", "0"], "--cache-capacity"),
+            (["serve-sim", "--algorithm", "NOPE"], "--algorithm"),
+            (["serve-sim", "--backend-depth", "-1"], "--backend-depth"),
+            (["library-sim", "--exchange-policy", "nope"],
+             "--exchange-policy"),
+            (["library-sim", "--assignment-policy", "nope"],
+             "--assignment-policy"),
+            (["library-sim", "--arm-policy", "nope"], "--arm-policy"),
+            (["chaos", "--library", "--drives", "0"], "--drives"),
+            (["chaos", "--retry-probability", "1.5"], "--retry-probability"),
+            (["chaos", "--reset-probability", "nan"], "--reset-probability"),
+            (["chaos", "--max-requeues", "-1"], "--max-requeues"),
+            (["optimality", "--frontier-algorithm", "NOPE"],
+             "--frontier-algorithm"),
+        ],
+    )
+    def test_bad_values_are_usage_errors(self, argv, flag, capsys):
+        # Rejected at parse time (exit 2, naming the flag), before any
+        # simulation starts.
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, module, name, result",
+        [
+            (["chaos"], chaos, "main",
+             SimpleNamespace(all_complete=False)),
+            (["chaos", "--library"], chaos, "main_library",
+             SimpleNamespace(ok=False)),
+            (["library-sim"], library_sim, "main",
+             SimpleNamespace(all_complete=False)),
+            (["serve-sim"], serve_sim, "main",
+             SimpleNamespace(all_complete=True, slo_ok=False)),
+            (["serve-sim"], serve_sim, "main",
+             SimpleNamespace(all_complete=False, slo_ok=True)),
+        ],
+    )
+    def test_failed_gate_exits_one(
+        self, argv, module, name, result, monkeypatch
+    ):
+        monkeypatch.setattr(module, name, lambda *a, **k: result)
+        assert main(argv) == 1
+
+    @pytest.mark.parametrize("gap, status", [(-1.0, 1), (0.0, 0)])
+    def test_optimality_gate(self, gap, status, monkeypatch):
+        frontier = SimpleNamespace(
+            gaps={("LOSS", 8): SimpleNamespace(mean=gap)}
+        )
+        monkeypatch.setattr(
+            optimality, "run",
+            lambda *a, **k: SimpleNamespace(frontier=frontier),
+        )
+        monkeypatch.setattr(optimality, "report", lambda result: None)
+        assert main(["optimality"]) == status
+
+    @pytest.mark.parametrize(
+        "experiment, module",
+        [("figure1", figure1), ("section3", section3_stats)],
+    )
+    def test_seed_only_experiments_export(
+        self, experiment, module, tmp_path, capsys
+    ):
+        out_file = tmp_path / f"{experiment}.csv"
+        assert main([experiment, "--out", str(out_file)]) == 0
+        with out_file.open() as handle:
+            header = next(csv.reader(handle))
+        assert header == module.run().headers()
+        assert "exported to" in capsys.readouterr().out
+
+    def test_all_runs_the_paper_experiments_in_order(self, monkeypatch):
+        ran = []
+        for name in cli._ALL_ORDER:
+            monkeypatch.setitem(
+                cli._EXPERIMENTS, name,
+                cli._EXPERIMENTS[name]._replace(
+                    run=lambda args, name=name: (ran.append(name), 0)
+                ),
+            )
+        assert main(["all", "--workers", "2", "--chart"]) == 0
+        assert ran == list(cli._ALL_ORDER)
+
     def test_runs_section3(self, capsys):
         assert main(["section3"]) == 0
         out = capsys.readouterr().out
@@ -250,3 +381,86 @@ class TestMain:
         ) == 0
         second = capsys.readouterr().out
         assert first != second
+
+
+# --- every documented invocation parses ----------------------------------
+
+_REPO = Path(__file__).resolve().parents[1]
+_DOCUMENTS = (
+    _REPO / "README.md",
+    _REPO / "DESIGN.md",
+    *sorted((_REPO / "docs").glob("*.md")),
+    _REPO / ".github" / "workflows" / "ci.yml",
+)
+_COMMAND = re.compile(r"(?:python3? -m |^)repro (.*)")
+_SHELL_OPERATORS = {"|", "||", "&&", ";", "&", ">", ">>", "<", "2>&1"}
+
+
+def _candidates(path: Path) -> list[str]:
+    """Command-line candidates, continuation lines joined."""
+    text = path.read_text().replace("\\\n", " ")
+    if path.suffix == ".yml":
+        # A folded ``run: >`` block is one command over several lines.
+        lines, candidates = text.splitlines(), []
+        index = 0
+        while index < len(lines):
+            line = lines[index]
+            index += 1
+            if not line.rstrip().endswith("run: >"):
+                candidates.append(line)
+                continue
+            indent = len(line) - len(line.lstrip())
+            block = []
+            while index < len(lines) and (
+                len(lines[index]) - len(lines[index].lstrip()) > indent
+            ):
+                block.append(lines[index].strip())
+                index += 1
+            candidates.append(" ".join(block))
+        return candidates
+    # Markdown: every line of a fenced block, and every inline code
+    # span of the prose (which may wrap across lines).
+    candidates = []
+    for number, part in enumerate(text.split("```")):
+        if number % 2:
+            candidates.extend(part.splitlines())
+        else:
+            candidates.extend(re.findall(r"`([^`]+)`", part))
+    return candidates
+
+
+def _documented_invocations() -> list[tuple[str, list[str]]]:
+    found = []
+    for path in _DOCUMENTS:
+        for candidate in _candidates(path):
+            candidate = re.sub(r"\s+", " ", candidate).strip()
+            match = _COMMAND.search(candidate.removeprefix("$ "))
+            if match is None:
+                continue
+            argv = []
+            for token in shlex.split(match.group(1), comments=True):
+                if token in _SHELL_OPERATORS:
+                    break
+                argv.append(token)
+            if argv and argv[0] != "lint":
+                found.append((f"{path.name}: {' '.join(argv)}", argv))
+    return found
+
+
+_INVOCATIONS = _documented_invocations()
+
+
+def test_documented_invocations_were_found():
+    # Guards the extraction itself: README, docs/ and CI hold dozens.
+    assert len(_INVOCATIONS) >= 40
+
+
+@pytest.mark.parametrize(
+    "argv", [argv for _, argv in _INVOCATIONS],
+    ids=[label for label, _ in _INVOCATIONS],
+)
+def test_documented_invocation_parses(argv):
+    try:
+        build_parser().parse_args(argv)
+    except SystemExit as exit_info:  # --help exits 0 once printed
+        assert exit_info.code == 0

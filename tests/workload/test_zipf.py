@@ -43,6 +43,13 @@ class TestZipf:
         with pytest.raises(ValueError):
             ZipfWorkload(total_segments=100, universe=50, alpha=0.0)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_non_finite_alpha_rejected(self, alpha):
+        # A NaN alpha would make sample_batch loop forever, so only
+        # construction is exercised.
+        with pytest.raises(ValueError, match="alpha"):
+            ZipfWorkload(total_segments=100, universe=50, alpha=alpha)
+
     def test_deterministic(self):
         a = ZipfWorkload(10_000, seed=7).sample_batch(50)
         b = ZipfWorkload(10_000, seed=7).sample_batch(50)
