@@ -448,7 +448,7 @@ _EXPERIMENTS: dict[str, _Experiment] = {
         (*_PAPER, "--workers", "--out"), _sweep(figure10.main)),
     "summary": _Experiment(
         "Section 8 summary: retrieval rates, measured vs published",
-        (*_PAPER, "--out"), _paper(summary_table.main)),
+        ("--scale", *_SEEDS, "--out"), _paper(summary_table.main)),
     "seeds": _Experiment(
         "Section 5: spread of the per-locate means across seeds",
         ("--scale", "--tape-seed", "--max-length", "--out"),

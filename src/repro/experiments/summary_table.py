@@ -64,7 +64,11 @@ class SummaryResult(TabularResult):
 
 
 def run(config: ExperimentConfig | None = None) -> SummaryResult:
-    """Recompute the Section 8 operating points."""
+    """Recompute the Section 8 operating points.
+
+    The table reads five fixed schedule lengths, so the sweep runs all
+    of them whatever ``config.max_length`` says.
+    """
     config = config or ExperimentConfig()
     lengths = (10, 96, 192, 1024, 1536)
     sweep_config = ExperimentConfig(
@@ -72,7 +76,6 @@ def run(config: ExperimentConfig | None = None) -> SummaryResult:
         workload_seed=config.workload_seed,
         lengths=lengths,
         scale=config.scale,
-        max_length=config.max_length,
     )
     result = run_per_locate(
         sweep_config,

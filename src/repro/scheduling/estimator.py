@@ -19,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.constants import SEGMENT_TRANSFER_SECONDS
-from repro.model.distance_matrix import out_positions
 from repro.model.rewind import rewind_time
 from repro.scheduling.request import request_lengths
 from repro.scheduling.schedule import Schedule
@@ -28,18 +27,32 @@ from repro.drive.simulated import TRACK_TURNAROUND_SECONDS
 
 def locate_sequence_times(model, schedule: Schedule) -> np.ndarray:
     """Per-request locate times of a schedule, in execution order."""
+    return _locates_and_length(model, schedule)[0]
+
+
+def _locates_and_length(
+    model, schedule: Schedule
+) -> tuple[np.ndarray, int]:
+    """Per-request locate times and the total segments read, from one
+    pass over the requests.
+
+    Request ``k`` is located to from the out position of request
+    ``k - 1`` (the origin for the first): its end segment, clamped to
+    the last segment of the tape, as in
+    :func:`~repro.model.distance_matrix.out_positions`.
+    """
+    requests = schedule.requests
+    count = len(requests)
+    if count == 0:
+        return np.zeros(0, dtype=np.float64), 0
     segments = schedule.segments()
-    if segments.size == 0:
-        return np.zeros(0, dtype=np.float64)
-    lengths = request_lengths(schedule.requests)
-    total = model.geometry.total_segments
-    sources = np.concatenate(
-        (
-            np.asarray([schedule.origin], dtype=np.int64),
-            out_positions(segments[:-1], lengths[:-1], total),
-        )
-    )
-    return model.times(sources, segments)
+    lengths = request_lengths(requests)
+    sources = np.empty(count, dtype=np.int64)
+    sources[0] = schedule.origin
+    tail = sources[1:]
+    np.add(segments[:-1], lengths[:-1], out=tail)
+    np.minimum(tail, model.geometry.total_segments - 1, out=tail)
+    return model.times(sources, segments), int(lengths.sum())
 
 
 def _transfer_seconds(model) -> float:
@@ -100,14 +113,11 @@ def estimate_schedule_seconds(
                 )
         return base
 
-    locates = float(locate_sequence_times(model, schedule).sum())
+    times, length = _locates_and_length(model, schedule)
+    locates = float(times.sum())
     if not include_transfers:
         return locates
-    transfer = (
-        float(request_lengths(schedule.requests).sum())
-        * _transfer_seconds(model)
-    )
-    return locates + transfer
+    return locates + float(length) * _transfer_seconds(model)
 
 
 def estimate_locate_seconds(model, schedule: Schedule) -> float:

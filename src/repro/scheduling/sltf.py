@@ -3,9 +3,9 @@
 The greedy analogue of the disk SSTF algorithm: from the current head
 position, go to the request with the minimum locate time, repeat.
 
-The paper observes two facts about the locate model that collapse the
-naive O(n²) greedy to O(n log n + k²) where ``k`` is the number of
-non-empty sections:
+The paper uses two facts about the locate model to collapse the naive
+O(n²) greedy to O(n log n + k²) where ``k`` is the number of non-empty
+sections:
 
 1. reading ahead within a section is faster than any locate that leaves
    the section, so once a section is entered all its requests are
@@ -13,6 +13,27 @@ non-empty sections:
 2. the nearest request inside another section is always that section's
    lowest-numbered request, so only one candidate per non-empty section
    needs a locate-time evaluation.
+
+Fact 1 is not always true of this model.  A destination in the first
+two ordinal sections of a track is reached by a scan to the track start
+(cases 4 and 7), which can beat reading ahead through most of a
+section: on tape seed 1, reading ahead from segment 330607 to 331149
+costs 12.03 s, but locating to 389010 (ordinal section 0 of another
+track) costs 10.93 s.  The fast path reads ahead regardless, and it
+also keeps an entered section's requests in segment order when an
+overlapping multi-segment request has already carried the head past
+the start of the next one.  So :class:`SltfScheduler` is the paper's
+section-at-a-time algorithm, not the literal greedy: the two agree on
+small batches (every schedule of the paper sweep at N <= 64, tape seed
+1) but not on dense ones (19 of the 56 schedules at N >= 128 differ).
+Both divergences are pinned in ``tests/scheduling/test_sltf_ties.py``.
+
+The fast path prices every jump from one locate table, built at the
+first jump that has a choice to make: a row for the origin and for each
+non-empty section's exit (the out position of its last request), a
+column for each section's first request.  Only the exit of a section
+that was partly read ahead has no row; a jump from there makes its own
+vector call.
 
 Three variants are provided (the ablation benchmark compares their
 cost):
@@ -25,10 +46,9 @@ cost):
 
 Tie-breaking is pinned, not incidental: both greedy variants scan
 candidates in ascending ``(segment, length)`` order and take the
-*first* minimum (``np.argmin``), so equal locate times resolve to the
-lowest ``(segment, length)`` in both — the fast path and the naive
-greedy therefore produce identical schedules, ties included
-(regression-tested in ``tests/scheduling/test_sltf_ties.py``).
+*first* minimum (``argmin``), so equal locate times resolve to the
+lowest ``(segment, length)`` in both (regression-tested in
+``tests/scheduling/test_sltf_ties.py``).
 """
 
 from __future__ import annotations
@@ -47,6 +67,10 @@ from repro.scheduling.coalesce import (
 from repro.scheduling.request import Request, request_segments
 
 
+#: Source rows per vectorized call when building SLTF's exit table.
+_EXIT_TABLE_CHUNK = 32
+
+
 def _out_position(model, request: Request) -> int:
     """Head position after consuming a request.
 
@@ -59,6 +83,27 @@ def _out_position(model, request: Request) -> int:
         request.segment + request.length,
         model.geometry.total_segments - 1,
     )
+
+
+def _exit_table(
+    model, sources: list[int], firsts: np.ndarray
+) -> tuple[np.ndarray, dict[int, int]]:
+    """Locate times from each source position to each section's first
+    segment, and the row of each distinct source.
+
+    A position listed twice maps to its first row (the rows are equal).
+    Rows are evaluated :data:`_EXIT_TABLE_CHUNK` at a time.
+    """
+    matrix = np.empty((len(sources), firsts.size), dtype=np.float64)
+    for start in range(0, len(sources), _EXIT_TABLE_CHUNK):
+        stop = start + _EXIT_TABLE_CHUNK
+        matrix[start:stop] = model.pairwise_times(
+            sources[start:stop], firsts
+        )
+    row_of: dict[int, int] = {}
+    for row, source in enumerate(sources):
+        row_of.setdefault(source, row)
+    return matrix, row_of
 
 
 @register
@@ -82,7 +127,7 @@ class SltfScheduler(Scheduler):
         # Fact 2's candidates: each non-empty section's first request,
         # in ascending section id.  Read-ahead only takes requests at
         # or past the head, so a section keeps its first request until
-        # it empties; the table never changes, only ``alive`` does.
+        # it empties; the table never changes, only ``closed`` does.
         sids = sorted(buckets)
         slot = {sid: k for k, sid in enumerate(sids)}
         firsts = np.fromiter(
@@ -90,7 +135,21 @@ class SltfScheduler(Scheduler):
             dtype=np.int64,
             count=len(sids),
         )
-        alive = np.ones(len(sids), dtype=bool)
+        # 0.0 while a section holds requests, +inf once it is empty:
+        # adding it to a row of locate times keeps the live entries
+        # exact and rules the empty sections out of the argmin.
+        closed = np.zeros(len(sids), dtype=np.float64)
+
+        # One locate table prices every jump from a known position: row
+        # 0 from the origin, row 1 + k from section k's exit (the out
+        # position of its last request).  Built at the first jump with a
+        # choice to make; a jump from anywhere else -- the exit of a
+        # section that was partly read ahead -- is priced on its own.
+        sources = [origin] + [
+            _out_position(model, buckets[sid][-1]) for sid in sids
+        ]
+        matrix = None
+        row_of: dict[int, int] = {}
 
         schedule: list[Request] = []
         position = origin
@@ -100,20 +159,31 @@ class SltfScheduler(Scheduler):
             if bucket is not None:
                 ahead = [r for r in bucket if r.segment >= position]
                 if ahead:
-                    # Fact 1: read ahead through the current section.
+                    # Fact 1, assumed: read ahead through the section.
                     schedule.extend(ahead)
                     remaining = [r for r in bucket if r.segment < position]
                     if remaining:
                         buckets[here] = remaining
                     else:
                         del buckets[here]
-                        alive[slot[here]] = False
+                        closed[slot[here]] = np.inf
                     position = _out_position(model, ahead[-1])
                     continue
-            live = np.flatnonzero(alive)
-            times = model.locate_times(position, firsts[live])
-            chosen = int(live[int(np.argmin(times))])
-            alive[chosen] = False
+            if len(buckets) == 1:
+                # The last live section needs no pricing.
+                taken = buckets.popitem()[1]
+                schedule.extend(taken)
+                break
+            if matrix is None:
+                matrix, row_of = _exit_table(model, sources, firsts)
+            row = row_of.get(position)
+            if row is None:
+                live = np.flatnonzero(closed == 0.0)
+                times = model.locate_times(position, firsts[live])
+                chosen = int(live[int(np.argmin(times))])
+            else:
+                chosen = int((matrix[row] + closed).argmin())
+            closed[chosen] = np.inf
             taken = buckets.pop(sids[chosen])
             schedule.extend(taken)
             position = _out_position(model, taken[-1])

@@ -94,6 +94,15 @@ def weave_pattern(
             yield from emit(track_class, sec)
 
 
+#: Every weave pattern, keyed by ``(physical section, direction)``: the
+#: pattern depends on nothing else, so the 28 of them are walked once.
+_PATTERNS: dict[tuple[int, int], tuple[tuple[str, int], ...]] = {
+    (section, direction): tuple(weave_pattern(section, direction))
+    for section in range(SECTIONS_PER_TRACK)
+    for direction in (1, -1)
+}
+
+
 @register
 class WeaveScheduler(Scheduler):
     """Approximate SLTF through the fixed weave pattern."""
@@ -120,8 +129,8 @@ class WeaveScheduler(Scheduler):
             buckets.setdefault(key, []).append(request)
             tracks_at_section.setdefault(int(section), set()).add(int(track))
 
-        current_track = int(geo.track_of(np.asarray([origin]))[0])
-        current_section = int(geo.section_of(np.asarray([origin]))[0])
+        current_track = int(geo.track_of(origin))
+        current_section = int(geo.section_of(origin))
 
         schedule: list[Request] = []
         while buckets:
@@ -144,12 +153,11 @@ class WeaveScheduler(Scheduler):
     ) -> tuple[int, int]:
         """First weave-pattern section holding requests, else nearest."""
         direction = 1 if current_track % 2 == 0 else -1
-        for track_class, section in weave_pattern(
-            current_section, direction
-        ):
-            track = self._pick_track(
-                tracks_at_section, track_class, section, current_track
-            )
+        for track_class, section in _PATTERNS[current_section, direction]:
+            tracks = tracks_at_section.get(section)
+            if not tracks:
+                continue
+            track = self._pick_track(tracks, track_class, current_track)
             if track is not None:
                 return (track, section)
         # Fallback for pattern coverage gaps: physically nearest section.
@@ -161,24 +169,18 @@ class WeaveScheduler(Scheduler):
 
     @staticmethod
     def _pick_track(
-        tracks_at_section: dict[int, set[int]],
-        track_class: str,
-        section: int,
-        current_track: int,
+        tracks: set[int], track_class: str, current_track: int
     ) -> int | None:
-        tracks = tracks_at_section.get(section)
-        if not tracks:
-            return None
+        """Lowest track of ``track_class`` among a section's non-empty
+        tracks, or None."""
+        if track_class == SAME:
+            return current_track if current_track in tracks else None
         parity = current_track % 2
-        candidates = []
-        for track in tracks:
-            if track_class == SAME and track != current_track:
-                continue
-            if track_class == CO and (
-                track == current_track or track % 2 != parity
-            ):
-                continue
-            if track_class == ANTI and track % 2 == parity:
-                continue
-            candidates.append(track)
+        if track_class == CO:
+            candidates = [
+                track for track in tracks
+                if track % 2 == parity and track != current_track
+            ]
+        else:
+            candidates = [track for track in tracks if track % 2 != parity]
         return min(candidates) if candidates else None

@@ -6,6 +6,8 @@ exact numbers, but the orderings and magnitudes that constitute the
 reproduction.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -235,3 +237,18 @@ class TestSummaryTable:
         config = ExperimentConfig(scale="quick")
         summary_table.report(summary_table.run(config))
         assert "Section 8" in capsys.readouterr().out
+
+    def test_run_ignores_max_length(self, monkeypatch):
+        # The table's fixed lengths are read unconditionally; a
+        # truncated sweep would leave them missing.
+        seen = []
+
+        def fake_sweep(config, **kwargs):
+            seen.append(config)
+            point = SimpleNamespace(total=SimpleNamespace(mean=3600.0))
+            return SimpleNamespace(point=lambda algorithm, length: point)
+
+        monkeypatch.setattr(summary_table, "run_per_locate", fake_sweep)
+        result = summary_table.run(ExperimentConfig(max_length=16))
+        assert seen[0].effective_lengths == (10, 96, 192, 1024, 1536)
+        assert result.fifo_hours_192 == 1.0

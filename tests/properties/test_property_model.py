@@ -132,8 +132,12 @@ def test_even_odd_perturbation_exact(source, destination, error):
 def test_same_section_read_ahead_beats_any_other_section(
     source, destination
 ):
-    # The SLTF fast path's "fact 1": a forward read within the source's
-    # section is never slower than a locate that leaves the section.
+    # The SLTF fast path's "fact 1" against the one destination per
+    # track checked here, key point 5: a forward read within the
+    # source's section is never slower than that locate.  Fact 1 does
+    # not hold against every destination -- one in ordinal section 0
+    # or 1 of a track is reached by a scan to the track start, which
+    # can win (see test_sltf_ties.py).
     geo = _MODEL.geometry
     same_section = int(geo.global_section_of(source)) == int(
         geo.global_section_of(destination)

@@ -1,21 +1,26 @@
-"""SLTF tie-breaking: the audited, pinned behaviour.
+"""SLTF tie-breaking, and where the fast path leaves the greedy.
 
-The module docstring of :mod:`repro.scheduling.sltf` claims the
-variants "produce the same schedule up to ties".  The audit of that
-claim: both greedy variants scan candidates in ascending
-``(segment, length)`` order and take the *first* minimum
-(``np.argmin``), so equal locate times resolve to the lowest
-``(segment, length)`` — deterministically, in both.  These tests pin
-that rule with a constructed exact tie and with a cross-variant
-agreement sweep, so a future refactor that silently changes the rule
-(e.g. by switching to an unstable sort or a last-minimum scan) fails
-loudly instead of shifting schedules.
+Both greedy variants scan candidates in ascending ``(segment, length)``
+order and take the *first* minimum (``argmin``), so equal locate times
+resolve to the lowest ``(segment, length)`` -- deterministically, in
+both.  These tests pin that rule with a constructed exact tie and with
+a cross-variant agreement sweep over small uniform batches, so a future
+refactor that silently changes the rule (e.g. by switching to an
+unstable sort or a last-minimum scan) fails loudly instead of shifting
+schedules.
+
+The two variants are not the same algorithm, though: the fast path
+assumes the paper's "fact 1" (reading ahead in the current section
+beats leaving it), which this model breaks for destinations that are
+reached by a scan to a track start, and it reads an entered section in
+segment order even where overlapping requests have carried the head
+past a later start.  The last two tests pin both divergences.
 """
 
 import numpy as np
 import pytest
 
-from repro.scheduling import get_scheduler
+from repro.scheduling import Request, get_scheduler
 
 
 def _find_exact_tie(model):
@@ -52,7 +57,8 @@ def test_equal_locate_times_resolve_to_lowest_segment(tiny_model, name):
 
 
 def test_fast_path_and_naive_agree_including_ties(tiny_model, rng):
-    """The variants produce bit-identical schedules, ties included."""
+    """On small uniform batches the variants produce bit-identical
+    schedules, ties included."""
     total = tiny_model.geometry.total_segments
     fast = get_scheduler("SLTF")
     naive = get_scheduler("SLTF-naive")
@@ -82,3 +88,36 @@ def test_tie_rule_is_arrival_order_independent(tiny_model):
         assert [r.segment for r in forward] == [
             r.segment for r in reverse
         ]
+
+
+def test_fast_path_reads_ahead_where_the_greedy_leaves(full_model):
+    """Fact 1 fails: leaving the section is cheaper than reading ahead."""
+    geo = full_model.geometry
+    origin, ahead, away = 330607, 331149, 389010
+    assert geo.global_section(origin) == geo.global_section(ahead)
+    assert geo.global_section(away) != geo.global_section(origin)
+    # The destination's scan target is the start of its track.
+    assert geo.segment_fields(away)[2] == 0
+    assert full_model.locate_time(origin, ahead) == pytest.approx(
+        12.03, abs=5e-3
+    )
+    assert full_model.locate_time(origin, away) == pytest.approx(
+        10.93, abs=5e-3
+    )
+    fast = get_scheduler("SLTF").schedule(full_model, origin, [away, ahead])
+    naive = get_scheduler("SLTF-naive").schedule(
+        full_model, origin, [away, ahead]
+    )
+    assert [r.segment for r in fast] == [ahead, away]
+    assert [r.segment for r in naive] == [away, ahead]
+
+
+def test_fast_path_reads_overlapping_requests_in_segment_order(tiny_model):
+    """After (s, 3) the head is at s + 3: the fast path goes back for
+    s + 1, the greedy reads on to s + 4 first."""
+    start = tiny_model.geometry.section_layout(0, 5).first_segment + 1
+    batch = [Request(start, 3), Request(start + 1), Request(start + 4)]
+    fast = get_scheduler("SLTF").schedule(tiny_model, 0, batch)
+    naive = get_scheduler("SLTF-naive").schedule(tiny_model, 0, batch)
+    assert [r.segment for r in fast] == [start, start + 1, start + 4]
+    assert [r.segment for r in naive] == [start, start + 4, start + 1]

@@ -135,3 +135,18 @@ class TestScheduler:
             ExplodingModel(full_tape), 0, batch
         )
         assert len(schedule) == 30
+
+
+class TestPatternTable:
+    def test_table_holds_every_pattern(self):
+        from repro.constants import SECTIONS_PER_TRACK
+        from repro.scheduling.weave import _PATTERNS
+
+        keys = {
+            (section, direction)
+            for section in range(SECTIONS_PER_TRACK)
+            for direction in (1, -1)
+        }
+        assert set(_PATTERNS) == keys and len(keys) == 28
+        for (section, direction), pattern in _PATTERNS.items():
+            assert pattern == tuple(weave_pattern(section, direction))

@@ -116,6 +116,8 @@ class TestParser:
             ["figure1", "--workload-seed", "3"],
             ["serve-sim", "--rate-per-hour", "60"],
             ["gaps", "--max-length", "8"],
+            # The summary reads fixed lengths; a cap would drop them.
+            ["summary", "--max-length", "16"],
             ["all", "--out", "all.csv"],
         ],
     )
@@ -206,6 +208,12 @@ class TestMain:
             header = next(csv.reader(handle))
         assert header == module.run().headers()
         assert "exported to" in capsys.readouterr().out
+
+    def test_summary_rejects_max_length_by_name(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["summary", "--max-length", "16"])
+        assert exit_info.value.code == 2
+        assert "--max-length" in capsys.readouterr().err
 
     def test_all_runs_the_paper_experiments_in_order(self, monkeypatch):
         ran = []
