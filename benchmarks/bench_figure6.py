@@ -5,10 +5,11 @@ the growth ordering: OPT exponential, LOSS clearly superlinear, the
 others cheap.
 
 The ledger test records schedules per second of each polynomial
-scheduler at the Figure 6 sizes n = 64..4096, as ``extra_info`` keys
-``<ALGORITHM>@<n>_per_s``: the whole ``schedule()`` call (bounds check,
-ordering, permutation check and estimate) on one uniform batch of the
-tape-seed-1 cartridge, best of ``LEDGER_REPEATS`` calls.
+scheduler at the Figure 6 sizes n = 64..4096, and of OPT at n = 8..12,
+as ``extra_info`` keys ``<ALGORITHM>@<n>_per_s``: the whole
+``schedule()`` call (bounds check, ordering, permutation check and
+estimate) on one uniform batch of the tape-seed-1 cartridge, best of
+``LEDGER_REPEATS`` calls.
 """
 
 import time
@@ -24,6 +25,8 @@ from repro.workload import UniformWorkload
 LEDGER_SIZES = (64, 256, 1024, 4096)
 LEDGER_ALGORITHMS = ("FIFO", "SORT", "SCAN", "WEAVE", "SLTF", "LOSS")
 LEDGER_REPEATS = 5
+#: OPT's exponential column: Held–Karp up to the paper's largest batch.
+LEDGER_OPT_SIZES = (8, 10, 12)
 
 
 def test_figure6(benchmark):
@@ -51,11 +54,13 @@ def schedules_per_second() -> dict[str, float]:
     tape = generate_tape(seed=1)
     model = LocateTimeModel(tape)
     workload = UniformWorkload(total_segments=tape.total_segments, seed=7)
+    columns = [(size, LEDGER_ALGORITHMS) for size in LEDGER_SIZES]
+    columns += [(size, ("OPT",)) for size in LEDGER_OPT_SIZES]
     ledger = {}
-    for size in LEDGER_SIZES:
+    for size, names in columns:
         origin, batch = workload.sample_batch_with_origin(size, False)
         batch = batch.tolist()
-        for name in LEDGER_ALGORITHMS:
+        for name in names:
             scheduler = get_scheduler(name)
             fastest = float("inf")
             for _ in range(LEDGER_REPEATS):
@@ -68,6 +73,8 @@ def schedules_per_second() -> dict[str, float]:
 
 def test_figure6_ledger(benchmark):
     ledger = run_once(benchmark, schedules_per_second)
-    assert len(ledger) == len(LEDGER_SIZES) * len(LEDGER_ALGORITHMS)
+    assert len(ledger) == len(LEDGER_SIZES) * len(LEDGER_ALGORITHMS) + len(
+        LEDGER_OPT_SIZES
+    )
     assert all(rate > 0 for rate in ledger.values())
     benchmark.extra_info.update(ledger)

@@ -236,8 +236,6 @@ _FLAGS: dict[str, dict] = {
     "--frontier-trials": dict(
         type=at_least(1), default=3, metavar="N",
         help="trials per frontier batch size (default: 3)"),
-    "--no-frontier": dict(
-        action="store_true", help="print only the lower-bound gap table"),
     # trace
     "--trace-jsonl": dict(
         metavar="FILE", help="write the raw event stream as JSON Lines"),
@@ -367,7 +365,7 @@ def _optimality(args: argparse.Namespace) -> tuple[object, int]:
         # ceiling.
         lengths, trials = (8, 48, 192), 1
     result = optimality.run(
-        _config(args), frontier=not args.no_frontier,
+        _config(args), frontier=True,
         frontier_algorithms=(
             _swept(args.frontier_algorithm)
             or optimality.DEFAULT_FRONTIER_ALGORITHMS
@@ -375,8 +373,6 @@ def _optimality(args: argparse.Namespace) -> tuple[object, int]:
         frontier_lengths=lengths, frontier_trials=trials,
     )
     optimality.report(result)
-    if result.frontier is None:
-        return result, 0
     # A heuristic beating the exact linear optimum is a solver bug,
     # not a statistic.
     worst = min(
@@ -462,7 +458,7 @@ _EXPERIMENTS: dict[str, _Experiment] = {
     "optimality": _Experiment(
         "LTSP frontier: every heuristic vs the exact linear optimum",
         (*_SEEDS, "--frontier-length", "--frontier-algorithm",
-         "--frontier-trials", "--no-frontier", "--smoke", "--out"),
+         "--frontier-trials", "--smoke", "--out"),
         _optimality,
         {"--smoke": dict(help="the CI gate: N = 8, 48, 192, one trial")}),
     "cache-sim": _Experiment(

@@ -3,10 +3,13 @@
 Section 4 of the paper (under SLTF) introduces two coalescing rules that
 shrink the problem the quadratic algorithms (SLTF, LOSS) work on:
 
-* **by section** — requests in the same section always travel together,
-  because reading ahead within a section is faster than any locate out
-  of it (:class:`~repro.scheduling.sltf.SltfScheduler` buckets its
-  candidates by ``global_section_of`` itself);
+* **by section** — requests in the same section travel together, on
+  the paper's premise that reading ahead within a section beats any
+  locate out of it.  Under this model that premise can fail (a scan to
+  a track start can be cheaper; see :mod:`repro.scheduling.sltf`), so
+  the rule is a heuristic, not a fact.
+  :class:`~repro.scheduling.sltf.SltfScheduler` buckets its candidates
+  by ``global_section_of`` itself;
 * **by distance threshold** — sort the requested segments; a segment
   within ``T`` of its predecessor joins the predecessor's group.  The
   paper finds ``T = 1410`` (two sections) works well and the schedule

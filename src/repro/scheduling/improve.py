@@ -17,6 +17,7 @@ a round limit is hit).
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 
 import numpy as np
@@ -61,6 +62,9 @@ def or_opt_order(
     if n <= 2:
         return list(order)
     current = list(order)
+    # Python floats run the same IEEE double arithmetic as numpy's
+    # scalars, at a fraction of the per-element cost.
+    rows = distance.tolist()
 
     for _ in range(max_rounds):
         improved = False
@@ -69,38 +73,33 @@ def or_opt_order(
             # Cost of removing `city` from its position.
             before = current[position - 1] + 1 if position > 0 else 0
             after = current[position + 1] if position + 1 < n else None
-            removed = distance[before, city]
+            removed = rows[before][city]
             if after is not None:
-                removed += distance[city + 1, after]
-                bridged = distance[before, after]
+                removed += rows[city + 1][after]
+                bridged = rows[before][after]
             else:
                 bridged = 0.0
             gain = removed - bridged
-            if not np.isfinite(gain):
+            if not math.isfinite(gain):
                 continue
 
             # Cost of inserting between every other adjacent pair.
             rest = [c for c in current if c != city]
-            froms = np.asarray([0] + [c + 1 for c in rest])
-            tos = rest + [None]
+            froms = [0] + [c + 1 for c in rest]
+            leaving = rows[city + 1]
             # Only strictly improving moves (ties would oscillate).
             best_delta = 1e-9
             best_slot = None
-            for slot in range(len(rest) + 1):
+            for slot, source in enumerate(froms):
                 if slot == position:
                     continue
-                into = distance[froms[slot], city]
-                out_of = (
-                    distance[city + 1, tos[slot]]
-                    if tos[slot] is not None
-                    else 0.0
-                )
-                broken = (
-                    distance[froms[slot], tos[slot]]
-                    if tos[slot] is not None
-                    else 0.0
-                )
-                delta = gain - (into + out_of - broken)
+                entering = rows[source]
+                if slot < len(rest):
+                    to = rest[slot]
+                    added = entering[city] + leaving[to] - entering[to]
+                else:
+                    added = entering[city]
+                delta = gain - added
                 if delta > best_delta:
                     best_delta = delta
                     best_slot = slot

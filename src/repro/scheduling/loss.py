@@ -72,13 +72,15 @@ def loss_path_fragments(distance: np.ndarray) -> list[list[int]]:
     with no candidate edge left has loss -inf; one with a single
     candidate is forced (loss +inf).
 
-    The kernel is incremental.  For every row and column it keeps the
-    index of its shortest live entry, the index of the shortest entry
-    once that one is set aside (ties count: ``[1, 1, 5]`` has two 1s),
-    and the loss they give.  A commit removes row ``u``, column ``v``
-    and the tail -> head entry, so it rescans only the lines whose
-    shortest or second entry was among those.  A NaN entry raises
-    :class:`SchedulingError`.
+    The kernel is incremental.  Every row and every column is a *line*
+    with its finite entries sorted once in (value, index) order.  A
+    commit only ever raises entries to +inf — row ``u``, column ``v``
+    and the tail -> head entry of the merged fragment — so a line's
+    shortest and second-shortest live entries are the first two of its
+    order still live, found by moving a per-line pointer forward.  Each
+    line is watched by the crossing lines holding those two entries;
+    a commit updates only the lines watching row ``u``, column ``v`` or
+    the banned entry.  A NaN entry raises :class:`SchedulingError`.
 
     Fragments are returned head-first; the fragment starting with node
     0 (if any edges were added at all) comes first.
@@ -93,15 +95,38 @@ def loss_path_fragments(distance: np.ndarray) -> list[list[int]]:
         raise SchedulingError("distance matrix contains NaN")
     np.fill_diagonal(work, np.inf)
     work[:, 0] = np.inf
-    rows = work.tolist()
-    cols = work.T.tolist()
-    # Removed rows and columns stay in the lists; scans read only the
-    # cross indices still live.
-    live_rows = list(range(m))
-    live_cols = list(range(m))
-    out_best, out_second, out_loss = _line_stats(work)
-    in_best, in_second, in_loss = _line_stats(work.T)
-    loss = [max(pair) for pair in zip(out_loss, in_loss)]
+    # Lines 0..m-1 are the rows (out-edges of city i), lines m..2m-1
+    # the columns (in-edges of city j).  A row's entries are indexed by
+    # column and a column's by row; the crossing line of entry x of
+    # row i is line m + x, of column j it is line x.
+    stacked = np.concatenate((work, work.T))
+    values = stacked.tolist()
+    ranked = np.argsort(stacked, axis=1, kind="stable")
+    finite = np.isfinite(stacked).sum(axis=1).tolist()
+    orders = [
+        order[:count] for order, count in zip(ranked.tolist(), finite)
+    ]
+    low, next_low = np.take_along_axis(stacked, ranked[:, :2], axis=1).T
+    with np.errstate(invalid="ignore"):
+        line_loss = next_low - low
+    line_loss[~np.isfinite(next_low)] = np.inf
+    line_loss[~np.isfinite(low)] = -np.inf
+    line_loss = line_loss.tolist()
+    # Positions in each order of the shortest and second live entry;
+    # len(order) when there is none.
+    best_pos = [0] * (2 * m)
+    second_pos = [1] * (2 * m)
+    alive = [True] * (2 * m)
+    # watchers[x]: the lines whose shortest or second entry crosses x.
+    watchers: list[set[int]] = [set() for _ in range(2 * m)]
+    for line, order in enumerate(orders):
+        base = m if line < m else 0
+        for x in order[:2]:
+            watchers[base + x].add(line)
+    loss = [
+        out if out >= in_ else in_
+        for out, in_ in zip(line_loss[:m], line_loss[m:])
+    ]
 
     successor = [-1] * m
     predecessor = [-1] * m
@@ -124,10 +149,10 @@ def loss_path_fragments(distance: np.ndarray) -> list[list[int]]:
         if top == -_INF:
             break
         city = loss.index(top)
-        if out_loss[city] >= in_loss[city]:
-            u, v = city, out_best[city]
+        if line_loss[city] >= line_loss[m + city]:
+            u, v = city, orders[city][best_pos[city]]
         else:
-            u, v = in_best[city], city
+            u, v = orders[m + city][best_pos[m + city]], city
         successor[u] = v
         predecessor[v] = u
         root_u, root_v = find(u), find(v)
@@ -135,34 +160,48 @@ def loss_path_fragments(distance: np.ndarray) -> list[list[int]]:
         new_head, new_tail = head[root_u], tail[root_v]
         head[root_u], tail[root_u] = new_head, new_tail
 
-        # Row u and column v are done; index -1 keeps _lines_at from
-        # ever reporting them as stale.
-        out_best[u] = out_second[u] = -1
-        out_loss[u] = -_INF
-        in_best[v] = in_second[v] = -1
-        in_loss[v] = -_INF
-        live_rows.remove(u)
-        live_cols.remove(v)
-        stale_rows = _lines_at(out_best, out_second, v)
-        stale_cols = _lines_at(in_best, in_second, u)
+        # Row u and column v are done: they stop watching, and the
+        # lines watching them go stale.
+        for line, base in ((u, m), (m + v, 0)):
+            alive[line] = False
+            line_loss[line] = -_INF
+            order = orders[line]
+            for position in (best_pos[line], second_pos[line]):
+                if position < len(order):
+                    watchers[base + order[position]].discard(line)
+        stale = watchers[u] | watchers[m + v]
         # Forbid closing the fragment into a cycle.
-        rows[new_tail][new_head] = cols[new_head][new_tail] = _INF
-        if new_head in (out_best[new_tail], out_second[new_tail]):
-            stale_rows.add(new_tail)
-        if new_tail in (in_best[new_head], in_second[new_head]):
-            stale_cols.add(new_head)
-        for i in sorted(stale_rows):
-            out_best[i], out_second[i], out_loss[i] = _rescan(
-                rows[i], live_cols
+        values[new_tail][new_head] = values[m + new_head][new_tail] = _INF
+        banned = ((new_tail, m + new_head), (m + new_head, new_tail))
+        for line, cross in banned:
+            if line in watchers[cross]:
+                watchers[cross].discard(line)
+                stale.add(line)
+        for line in stale:
+            order = orders[line]
+            row = values[line]
+            base = m if line < m else 0
+            best = _advance(order, best_pos[line], row, alive, base)
+            second = _advance(
+                order, max(best + 1, second_pos[line]), row, alive, base
             )
-            loss[i] = max(out_loss[i], in_loss[i])
-        for j in sorted(stale_cols):
-            in_best[j], in_second[j], in_loss[j] = _rescan(
-                cols[j], live_rows
-            )
-            loss[j] = max(out_loss[j], in_loss[j])
-        loss[u] = max(out_loss[u], in_loss[u])
-        loss[v] = max(out_loss[v], in_loss[v])
+            best_pos[line], second_pos[line] = best, second
+            if second < len(order):
+                low, next_low = order[best], order[second]
+                line_loss[line] = row[next_low] - row[low]
+                watchers[base + low].add(line)
+                watchers[base + next_low].add(line)
+            elif best < len(order):
+                line_loss[line] = _INF
+                watchers[base + order[best]].add(line)
+            else:
+                line_loss[line] = -_INF
+            node = line - m if line >= m else line
+            out, in_ = line_loss[node], line_loss[m + node]
+            loss[node] = out if out >= in_ else in_
+        for node in (u, v):
+            out, in_ = line_loss[node], line_loss[m + node]
+            loss[node] = out if out >= in_ else in_
 
     fragments: list[list[int]] = []
     for node in range(m):
@@ -178,59 +217,20 @@ def loss_path_fragments(distance: np.ndarray) -> list[list[int]]:
     return fragments
 
 
-def _line_stats(
-    matrix: np.ndarray,
-) -> tuple[list[int], list[int], list[float]]:
-    """Shortest index, second index and loss of every row of ``matrix``.
+def _advance(
+    order: list[int], start: int, row: list[float], alive: list[bool],
+    base: int,
+) -> int:
+    """Position of the first live finite entry of ``order`` from ``start``.
 
-    The vectorized twin of :func:`_rescan` over all columns.
+    ``len(order)`` when none is left.  Entry ``x`` is live while its
+    crossing line ``base + x`` is and ``row[x]`` has not been banned.
     """
-    index = np.arange(matrix.shape[0])
-    best = matrix.argmin(axis=1)
-    low = matrix[index, best]
-    rest = matrix.copy()
-    rest[index, best] = np.inf
-    second = rest.argmin(axis=1)
-    next_low = rest[index, second]
-    with np.errstate(invalid="ignore"):
-        loss = next_low - low
-    loss[~np.isfinite(next_low)] = np.inf
-    loss[~np.isfinite(low)] = -np.inf
-    return best.tolist(), second.tolist(), loss.tolist()
-
-
-def _rescan(line: list[float], live: list[int]) -> tuple[int, int, float]:
-    """``(shortest index, second index, loss)`` of a line's live entries.
-
-    The loss is the gap between the two entries: -inf when the line has
-    no finite entry left, +inf when it has exactly one.
-    """
-    values = [line[k] for k in live]
-    if not values:
-        return -1, -1, -_INF
-    low = min(values)
-    first = values.index(low)
-    values[first] = _INF
-    next_low = min(values)
-    following = values.index(next_low)
-    if not math.isfinite(low):
-        loss = -_INF
-    elif not math.isfinite(next_low):
-        loss = _INF
-    else:
-        loss = next_low - low
-    return live[first], live[following], loss
-
-
-def _lines_at(best: list[int], second: list[int], index: int) -> set[int]:
-    """Lines whose shortest or second entry is at cross ``index``."""
-    found: set[int] = set()
-    for column in (best, second):
-        line = -1
-        for _ in range(column.count(index)):
-            line = column.index(index, line + 1)
-            found.add(line)
-    return found
+    for position in range(start, len(order)):
+        x = order[position]
+        if alive[base + x] and row[x] != _INF:
+            return position
+    return len(order)
 
 
 @register

@@ -7,8 +7,9 @@ practical to about 12 requests (936 CPU-seconds on 1995 hardware).  We
 implement
 
 * :func:`held_karp_path` — the exact Held–Karp dynamic program,
-  O(2ⁿ·n²), which handles the paper's whole OPT range in milliseconds
-  and remains exact; and
+  O(2ⁿ·n²), filled one popcount layer at a time in numpy, which
+  handles the paper's whole OPT range in milliseconds and remains
+  exact; and
 * :func:`brute_force_path` — literal permutation enumeration, kept as a
   cross-check for the DP (used by the test suite, n ≤ 9).
 
@@ -17,6 +18,7 @@ Both operate on the same distance matrix LOSS uses.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Sequence
 
@@ -43,49 +45,68 @@ def held_karp_path(distance: np.ndarray) -> list[int]:
     Returns
     -------
     Visit order as a list of request indices ``0..n-1``.
+
+    ``cost[mask, k]`` is the cheapest path from the start through the
+    requests in ``mask`` ending at ``k``; ``parent[mask, k]`` is the
+    request before ``k`` on it (the first one on ties), -1 for a
+    single-request path or when no finite path exists.  The table is
+    filled one popcount layer at a time, every (mask, end) pair of a
+    layer in one numpy step.  The order ends at the first request of
+    minimal total cost.
     """
     n = distance.shape[1]
     if n == 0:
         return []
     if n == 1:
         return [0]
-    size = 1 << n
-    infinity = float("inf")
-    # Plain Python lists: the DP is called hundreds of thousands of
-    # times on tiny batches, where per-mask numpy overhead dominates.
-    inner = [row.tolist() for row in distance[1:, :]]
-    cost = [[infinity] * n for _ in range(size)]
-    parent = [[-1] * n for _ in range(size)]
-    start_row = distance[0].tolist()
-    for j in range(n):
-        cost[1 << j][j] = start_row[j]
+    distance = np.asarray(distance, dtype=np.float64)
+    # inner_to[k, j]: from request j to request k.
+    inner_to = distance[1:, :].T
+    cost = np.full((1 << n, n), np.inf)
+    parent = np.full((1 << n, n), -1, dtype=np.intp)
+    ends = np.arange(n)
+    cost[1 << ends, ends] = distance[0]
+    for masks, last, prevs, pairs in _layers(n):
+        candidates = cost[prevs]
+        candidates += inner_to[last]
+        best = candidates.argmin(axis=1)
+        reached = candidates[pairs, best]
+        cost[masks, last] = reached
+        parent[masks, last] = np.where(reached < np.inf, best, -1)
 
-    for mask in range(1, size):
-        row = cost[mask]
-        for j in range(n):
-            here = row[j]
-            if here == infinity or not (mask >> j) & 1:
-                continue
-            edges = inner[j]
-            for k in range(n):
-                if (mask >> k) & 1:
-                    continue
-                extended = here + edges[k]
-                nxt = mask | (1 << k)
-                if extended < cost[nxt][k]:
-                    cost[nxt][k] = extended
-                    parent[nxt][k] = j
-
-    full = size - 1
-    final = cost[full]
-    end = min(range(n), key=final.__getitem__)
-    order = [end]
-    mask = full
-    while parent[mask][order[-1]] != -1:
-        prev = parent[mask][order[-1]]
+    mask = (1 << n) - 1
+    order = [int(cost[mask].argmin())]
+    while (prev := int(parent[mask, order[-1]])) != -1:
         mask ^= 1 << order[-1]
         order.append(prev)
     return order[::-1]
+
+
+@functools.lru_cache(maxsize=None)
+def _layers(n: int) -> list[tuple[np.ndarray, ...]]:
+    """Held–Karp index tables for ``n`` requests, one per popcount.
+
+    Each layer of popcount 2..n lists every (mask, last) pair with
+    ``last`` in ``mask`` as ``(masks, last, prevs, pairs)``: ``prevs``
+    is ``mask`` without ``last`` and ``pairs`` is ``arange`` over the
+    layer, for picking each pair's row of a gathered table.  The cached
+    arrays are read-only.
+    """
+    every = np.arange(1 << n)
+    popcount = np.zeros(1 << n, dtype=np.intp)
+    for bit in range(n):
+        popcount += (every >> bit) & 1
+    layers = []
+    for size in range(2, n + 1):
+        members = every[popcount == size]
+        bits = (members[:, None] >> np.arange(n)) & 1
+        pair_mask, last = np.nonzero(bits)
+        masks = members[pair_mask]
+        layer = (masks, last, masks ^ (1 << last), np.arange(len(masks)))
+        for table in layer:
+            table.setflags(write=False)
+        layers.append(layer)
+    return layers
 
 
 def brute_force_path(distance: np.ndarray) -> list[int]:

@@ -1,6 +1,6 @@
 """Golden-regression harness for the figure experiments.
 
-Small-config Figure 4, Figure 5, and Figure 7 outputs are frozen as
+Small-config Figure 4, 5, 7 and 10 outputs are frozen as
 JSON fixtures under ``tests/experiments/golden/``.  The comparison is
 **exact**: the simulation is deterministic given the seeds, JSON
 round-trips IEEE-754 doubles losslessly, so any bit change in the
@@ -29,6 +29,7 @@ from repro.experiments import (
     figure4,
     figure5,
     figure7,
+    figure10,
     optimality,
 )
 
@@ -36,6 +37,17 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 #: Reduced grids that still cross several trial-count bands.
 _CONFIG = ExperimentConfig(lengths=(1, 2, 4, 8, 16), scale="quick")
+
+
+class _Figure10Tables:
+    """Figure 10's LOSS table plus the OPT table its export leaves out."""
+
+    def __init__(self, result: figure10.Figure10Result) -> None:
+        self.result = result
+
+    def to_dict(self) -> dict:
+        return {"loss": self.result.to_dict(), "opt": self.result.opt_rows()}
+
 
 #: The frozen experiments: name -> zero-argument runner.
 GOLDEN_RUNS = {
@@ -46,6 +58,12 @@ GOLDEN_RUNS = {
         _CONFIG, algorithms=("FIFO", "SORT", "LOSS", "OPT")
     ),
     "figure7": lambda: figure7.run(_CONFIG),
+    # Reaches OPT's largest batch (12), where Held-Karp does most work.
+    "figure10": lambda: _Figure10Tables(
+        figure10.run(
+            ExperimentConfig(lengths=(1, 4, 8, 12, 16), scale="quick")
+        )
+    ),
     "optimality": lambda: optimality.run(
         _CONFIG,
         algorithms=("OPT", "LOSS", "SLTF", "SCAN"),

@@ -141,7 +141,8 @@ def test_matches_reference_on_locate_matrices(full_model, m, seed):
 
 @pytest.mark.parametrize("family", ["uniform", "ties", "sparse"])
 def test_matches_reference_past_the_property_sizes(family):
-    for m in (61, 97, 140):
+    # Paper-sweep batches coalesce to m of about 170.
+    for m in (61, 97, 140, 200, 256):
         matrix = synthetic_matrix(family, m, seed=m)
         assert loss_path_fragments(matrix) == reference_fragments(matrix)
 
@@ -151,3 +152,22 @@ def test_input_matrix_untouched():
     before = matrix.copy()
     loss_path_fragments(matrix)
     np.testing.assert_array_equal(matrix, before)
+
+
+def test_lines_with_one_and_no_finite_entry():
+    # Row 3 has exactly one finite entry, so 3 -> 4 is forced (loss
+    # +inf) and taken first; row 4 has none (loss -inf) and can only
+    # end the path.
+    inf = np.inf
+    matrix = np.array(
+        [
+            [inf, 4.0, 1.0, 7.0, 9.0],
+            [inf, inf, 2.0, 3.0, inf],
+            [inf, 5.0, inf, 1.0, 6.0],
+            [inf, inf, inf, inf, 2.0],
+            [inf, inf, inf, inf, inf],
+        ]
+    )
+    expected = [[0, 1, 2, 3, 4]]
+    assert reference_fragments(matrix) == expected
+    assert loss_path_fragments(matrix) == expected

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import BatchTooLarge
 from repro.scheduling import (
@@ -35,6 +37,22 @@ class TestHeldKarp:
             assert path_cost(matrix, dp_order) == pytest.approx(
                 path_cost(matrix, bf_order)
             )
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
+    def test_matches_brute_force_on_tie_heavy_matrices(self, n, seed):
+        # Integer costs 0..3 make many orders tie; the sums are exact,
+        # so the two optima must cost exactly the same.
+        matrix = (
+            np.random.default_rng(seed)
+            .integers(0, 4, size=(n + 1, n))
+            .astype(np.float64)
+        )
+        dp_order = held_karp_path(matrix)
+        assert sorted(dp_order) == list(range(n))
+        assert path_cost(matrix, dp_order) == path_cost(
+            matrix, brute_force_path(matrix)
+        )
 
     def test_visits_everything(self, rng):
         matrix = random_rectangular(rng, 9)

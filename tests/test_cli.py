@@ -342,11 +342,10 @@ class TestMain:
         assert "LTSP frontier" in out
         assert "lower bound" in out
 
-    def test_optimality_no_frontier(self, capsys):
-        assert main(
-            ["optimality", "--smoke", "--no-frontier"]
-        ) == 0
+    def test_gaps_prints_only_the_gap_table(self, capsys):
+        assert main(["gaps"]) == 0
         out = capsys.readouterr().out
+        assert "lower bound" in out
         assert "LTSP frontier" not in out
 
     def test_optimality_rejects_bad_frontier_grid(self):
