@@ -3,8 +3,9 @@
 Public surface::
 
     from repro.geometry import (
-        TapeGeometry, TrackLayout, SectionLayout, SegmentCoordinate,
-        TrackDirection, generate_tape, tiny_tape, make_tape_pair,
+        TapeGeometry, TrackLayout, SectionLayout, SectionTable,
+        SegmentCoordinate, TrackDirection, generate_tape, tiny_tape,
+        make_tape_pair,
         calibrate_key_points, geometry_from_key_points,
     )
 """
@@ -33,13 +34,14 @@ from repro.geometry.serialization import (
     load_geometry,
     save_geometry,
 )
-from repro.geometry.tape import TAPE_PHYS_LENGTH, TapeGeometry
+from repro.geometry.tape import TAPE_PHYS_LENGTH, SectionTable, TapeGeometry
 from repro.geometry.track import TrackLayout
 
 __all__ = [
     "CalibrationError",
     "CalibrationResult",
     "SectionLayout",
+    "SectionTable",
     "SegmentCoordinate",
     "TAPE_PHYS_LENGTH",
     "TapeGeometry",

@@ -6,16 +6,21 @@ laid out on one serpentine cartridge.  It is the single source of truth
 consumed by the locate-time model (:mod:`repro.model`), the schedulers
 (:mod:`repro.scheduling`), and the drive simulator (:mod:`repro.drive`).
 
-The class precomputes per-segment numpy arrays (track, physical position,
-ordinal section) so that the locate-time model can be evaluated over
-millions of ``(source, destination)`` pairs with vectorized array
-arithmetic — the simulation studies of the paper evaluate the model tens
-of millions of times.
+Everything the locate model asks of a segment is a property of its
+section, plus, for the physical position, the segment's offset within
+it.  The class therefore keeps one :class:`SectionTable` row per section
+(64 tracks x 14 sections on a full cartridge) and a single 2-byte
+section index per segment; every lookup is that index followed by a
+gather from the table, so the locate model still evaluates millions of
+``(source, destination)`` pairs with vectorized array arithmetic while a
+full cartridge holds about 1.3 MB of arrays.
 """
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterator, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,9 +33,68 @@ from repro.geometry.track import TrackLayout
 #: Physical length of the tape in section units.
 TAPE_PHYS_LENGTH = float(SECTIONS_PER_TRACK)
 
+#: Stride of :attr:`SectionTable.gid` per track.  Larger than the 14
+#: sections of a track, so two sections on different tracks are always
+#: more than two ids apart and one subtraction tests "same track, at
+#: most two sections ahead".
+GID_TRACK_STRIDE = 16
+
+
+@dataclass(frozen=True, eq=False)
+class SectionTable:
+    """Per-section columns of a tape, one row per section.
+
+    Row ``k = track * 14 + ordinal_section`` is the ``k``-th section in
+    segment order.  Every column is a contiguous, read-only array.
+
+    Attributes
+    ----------
+    first:
+        Lowest segment number in the section (a key point).
+    size:
+        Segments in the section.
+    track, ordinal, physical, direction:
+        Track number, segment-order section index (0..13), physical
+        section number (0 closest to BOT) and track direction sign.
+    base:
+        Physical position of the section's near (BOT-side) boundary.
+    pivot, slope:
+        Physical position of segment ``s`` is
+        ``base + (s - pivot) * slope``.  On a forward track ``pivot`` is
+        ``first - 0.5`` and ``slope`` the section's width per segment;
+        on a reverse track ``pivot`` is ``last + 0.5`` and ``slope`` the
+        negated width.  ``s - pivot`` is then ``+-(offset + 0.5)``
+        exactly, so the product equals ``(offset + 0.5) * width`` bit
+        for bit.
+    target:
+        Physical position the drive scans to before reading a segment
+        of the section: the key point two before it in segment order,
+        or the track start for the first two sections.
+    gid:
+        ``track * GID_TRACK_STRIDE + ordinal``.
+    """
+
+    first: np.ndarray
+    size: np.ndarray
+    track: np.ndarray
+    ordinal: np.ndarray
+    physical: np.ndarray
+    direction: np.ndarray
+    base: np.ndarray
+    pivot: np.ndarray
+    slope: np.ndarray
+    target: np.ndarray
+    gid: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.first)
+
 
 class TapeGeometry:
     """Immutable layout of one serpentine tape.
+
+    Holds the per-track layouts, a :class:`SectionTable` and, per
+    segment, only the index of its section (``uint16``).
 
     Parameters
     ----------
@@ -47,7 +111,7 @@ class TapeGeometry:
         self.label = label
         self._tracks = tuple(tracks)
         self._validate_contiguity()
-        self._build_arrays()
+        self._build_tables()
 
     # -- construction -----------------------------------------------------
 
@@ -67,77 +131,87 @@ class TapeGeometry:
                     f"track {layout.track}"
                 )
 
-    def _build_arrays(self) -> None:
+    def _build_tables(self) -> None:
         num_tracks = len(self._tracks)
-        track_sizes = np.array([t.size for t in self._tracks], dtype=np.int64)
-        self._track_first = np.concatenate(
-            ([0], np.cumsum(track_sizes))
+        per_track = SECTIONS_PER_TRACK
+        sizes = np.array(
+            [t.section_sizes for t in self._tracks], dtype=np.int64
         )
+        bounds = np.array(
+            [t.phys_boundaries for t in self._tracks], dtype=np.float64
+        )
+        widths = np.diff(bounds, axis=1) / sizes
+        track_sizes = sizes.sum(axis=1)
+        self._track_first = np.concatenate(([0], np.cumsum(track_sizes)))
         self._total = int(self._track_first[-1])
-        self._track_dir = np.array(
+
+        direction = np.array(
             [int(t.direction) for t in self._tracks], dtype=np.int8
         )
-
-        seg_phys = np.empty(self._total, dtype=np.float64)
-        seg_soi = np.empty(self._total, dtype=np.int8)
-        seg_offset = np.empty(self._total, dtype=np.int32)
-        seg_track = np.empty(self._total, dtype=np.int32)
-
-        kp_phys = np.empty((num_tracks, SECTIONS_PER_TRACK), dtype=np.float64)
-        kp_segments = np.empty(
-            (num_tracks, SECTIONS_PER_TRACK), dtype=np.int64
+        forward = (direction > 0)[:, None]
+        ordinal = np.arange(per_track)
+        # Physical section of each (track, ordinal section) pair.
+        physical = np.where(forward, ordinal, per_track - 1 - ordinal)
+        rows = np.arange(num_tracks)[:, None]
+        size = sizes[rows, physical]
+        first = self._track_first[:-1, None] + np.concatenate(
+            (np.zeros((num_tracks, 1), dtype=np.int64),
+             np.cumsum(size[:, :-1], axis=1)),
+            axis=1,
         )
-
-        for layout in self._tracks:
-            lo = int(self._track_first[layout.track])
-            hi = int(self._track_first[layout.track + 1])
-            sizes = layout.section_sizes.astype(np.int64)
-            bounds = layout.phys_boundaries
-            lengths = np.diff(bounds)
-
-            # Physical-order arrays for the whole track.
-            sec_phys = np.repeat(
-                np.arange(SECTIONS_PER_TRACK, dtype=np.int64), sizes
-            )
-            section_starts = np.concatenate(([0], np.cumsum(sizes[:-1])))
-            offsets = (
-                np.arange(layout.size, dtype=np.int64)
-                - np.repeat(section_starts, sizes)
-            )
-            phys = (
-                bounds[sec_phys]
-                + (offsets + 0.5) * (lengths[sec_phys] / sizes[sec_phys])
-            )
-
-            if layout.direction is TrackDirection.FORWARD:
-                seg_phys[lo:hi] = phys
-                seg_soi[lo:hi] = sec_phys
-                seg_offset[lo:hi] = offsets
-            else:
-                seg_phys[lo:hi] = phys[::-1]
-                seg_soi[lo:hi] = (
-                    SECTIONS_PER_TRACK - 1 - sec_phys
-                )[::-1]
-                seg_offset[lo:hi] = offsets[::-1]
-            seg_track[lo:hi] = layout.track
-
-            kp_phys[layout.track] = layout.key_point_phys()
-            kp_segments[layout.track] = layout.key_point_segments()
-
-        self._seg_phys = seg_phys
-        self._seg_soi = seg_soi
-        self._seg_offset = seg_offset
-        self._seg_track = seg_track
-        self._kp_phys = kp_phys
-        self._kp_segments = kp_segments
+        width = widths[rows, physical]
+        pivot = np.where(forward, first - 0.5, first + size - 0.5)
+        kp_phys = np.where(forward, bounds[:, :-1], bounds[:, :0:-1])
         # Scan target for a destination with ordinal section ``i`` is the
         # key point two before it in segment order, i.e. key point
         # ``max(0, i - 1)`` (key point 0 is the beginning of the track,
         # which also covers the paper's cases 4 and 7).
-        target_index = np.maximum(
-            0, np.arange(SECTIONS_PER_TRACK) - 1
+        target = kp_phys[:, np.maximum(0, ordinal - 1)]
+
+        def column(values, dtype) -> np.ndarray:
+            array = np.ascontiguousarray(
+                np.broadcast_to(values, (num_tracks, per_track)).ravel(),
+                dtype=dtype,
+            )
+            array.setflags(write=False)
+            return array
+
+        self._sections = SectionTable(
+            first=column(first, np.int64),
+            size=column(size, np.int64),
+            track=column(rows, np.int32),
+            ordinal=column(ordinal, np.int8),
+            physical=column(physical, np.int8),
+            direction=column(direction[:, None], np.int8),
+            base=column(bounds[rows, physical], np.float64),
+            pivot=column(pivot, np.float64),
+            slope=column(np.where(forward, width, -width), np.float64),
+            target=column(target, np.float64),
+            gid=column(rows * GID_TRACK_STRIDE + ordinal, np.int32),
         )
-        self._scan_target_phys = kp_phys[:, target_index]
+        index_dtype = (
+            np.uint16 if num_tracks * per_track <= 1 << 16 else np.uint32
+        )
+        self._seg_section = np.repeat(
+            np.arange(num_tracks * per_track, dtype=index_dtype),
+            self._sections.size,
+        )
+        self._seg_section.setflags(write=False)
+        self._kp_segments = self._sections.first.reshape(
+            num_tracks, per_track
+        )
+        self._kp_phys = kp_phys
+        # Python-list copies of the columns the scalar lookups read: a
+        # list index is several times cheaper than ``ndarray.item``.
+        table = self._sections
+        self._segment_rows = (
+            table.track.tolist(),
+            table.ordinal.tolist(),
+            table.base.tolist(),
+            table.pivot.tolist(),
+            table.slope.tolist(),
+        )
+        self._scan_rows = (table.target.tolist(), table.direction.tolist())
 
     # -- basic properties --------------------------------------------------
 
@@ -179,41 +253,54 @@ class TapeGeometry:
             offender = int(segments[bad][0])
             raise SegmentOutOfRange(offender, self._total)
 
+    # -- sections ------------------------------------------------------------
+
+    @property
+    def sections(self) -> SectionTable:
+        """The per-section columns, one row per section in segment order."""
+        return self._sections
+
+    def section_index(self, segment):
+        """Row(s) of :attr:`sections` holding ``segment`` (int or array).
+
+        Raises :class:`IndexError` for a segment past the end of the tape.
+        """
+        return self._seg_section[segment]
+
     # -- per-segment lookups (scalar or vectorized) --------------------------
 
     def track_of(self, segment):
         """Track number(s) of ``segment`` (int or array)."""
-        return self._seg_track[segment]
+        return self._sections.track[self._seg_section[segment]]
 
     def phys_of(self, segment):
         """Physical position(s) in section units, in ``[0, 14]``."""
-        return self._seg_phys[segment]
+        table = self._sections
+        section = self._seg_section[segment].astype(np.intp)
+        return table.base[section] + (segment - table.pivot[section]) * (
+            table.slope[section]
+        )
 
     def ordinal_section_of(self, segment):
         """Segment-order section index(es) within the track, 0..13."""
-        return self._seg_soi[segment]
+        return self._sections.ordinal[self._seg_section[segment]]
 
     def section_of(self, segment):
         """Physical section number(s), 0 closest to BOT."""
-        track = self._seg_track[segment]
-        soi = self._seg_soi[segment]
-        forward = self._track_dir[track] > 0
-        return np.where(forward, soi, SECTIONS_PER_TRACK - 1 - soi)
+        return self._sections.physical[self._seg_section[segment]]
 
     def direction_of(self, segment):
         """Track direction sign(s): +1 forward, -1 reverse."""
-        return self._track_dir[self._seg_track[segment]]
+        return self._sections.direction[self._seg_section[segment]]
 
     def global_section_of(self, segment):
         """Global section id(s): ``track * 14 + ordinal_section``.
 
         Consecutive ids within a track follow segment order, so two
         segments share an id iff they lie in the same physical section.
+        The id is the segment's row of :attr:`sections`.
         """
-        return (
-            self._seg_track[segment].astype(np.int64) * SECTIONS_PER_TRACK
-            + self._seg_soi[segment]
-        )
+        return self._seg_section[segment].astype(np.int64)
 
     def scan_target_phys(self, segment):
         """Physical position the drive scans to before reading ``segment``.
@@ -222,9 +309,7 @@ class TapeGeometry:
         order; for destinations in the first two ordinal sections it is
         the beginning of the track (the paper's cases 4 and 7).
         """
-        track = self._seg_track[segment]
-        soi = self._seg_soi[segment]
-        return self._scan_target_phys[track, soi]
+        return self._sections.target[self._seg_section[segment]]
 
     # -- single-segment lookups as Python scalars ----------------------------
 
@@ -235,18 +320,18 @@ class TapeGeometry:
         :meth:`ordinal_section_of`, as Python scalars, for the
         locate model's single-pair kernel.
         """
+        segment = operator.index(segment)
+        section = self._seg_section.item(segment)
+        track, ordinal, base, pivot, slope = self._segment_rows
         return (
-            self._seg_track.item(segment),
-            self._seg_phys.item(segment),
-            self._seg_soi.item(segment),
+            track[section],
+            base[section] + (segment - pivot[section]) * slope[section],
+            ordinal[section],
         )
 
     def global_section(self, segment: int) -> int:
         """:meth:`global_section_of` of one segment, as a Python int."""
-        return (
-            self._seg_track.item(segment) * SECTIONS_PER_TRACK
-            + self._seg_soi.item(segment)
-        )
+        return self._seg_section.item(segment)
 
     def scan_fields(
         self, track: int, ordinal_section: int
@@ -255,27 +340,26 @@ class TapeGeometry:
         destination in ``ordinal_section`` of ``track``, as Python
         scalars (see :meth:`scan_target_phys` and :meth:`direction_of`).
         """
-        return (
-            self._scan_target_phys.item(track, ordinal_section),
-            self._track_dir.item(track),
-        )
+        section = track * SECTIONS_PER_TRACK + ordinal_section
+        target, direction = self._scan_rows
+        return target[section], direction[section]
 
     # -- coordinates ---------------------------------------------------------
 
     def coordinate_of(self, segment: int) -> SegmentCoordinate:
         """Full physical coordinate of one segment."""
         self.check_segment(segment)
-        track = int(self._seg_track[segment])
-        soi = int(self._seg_soi[segment])
-        direction = TrackDirection.of_track(track)
-        if direction is TrackDirection.FORWARD:
-            section = soi
+        table = self._sections
+        section = self._seg_section.item(segment)
+        first = table.first.item(section)
+        if table.direction.item(section) > 0:
+            offset = segment - first
         else:
-            section = SECTIONS_PER_TRACK - 1 - soi
+            offset = first + table.size.item(section) - 1 - segment
         return SegmentCoordinate(
-            track=track,
-            section=section,
-            offset=int(self._seg_offset[segment]),
+            track=table.track.item(section),
+            section=table.physical.item(section),
+            offset=int(offset),
         )
 
     def segment_at(self, track: int, section: int, offset: int) -> int:

@@ -30,6 +30,10 @@ class DriveState(enum.Enum):
     EXECUTING = "executing"
 
 
+#: States in which a bay can accept a dispatch or a mount.
+AVAILABLE_STATES = frozenset((DriveState.EMPTY, DriveState.IDLE))
+
+
 @dataclass
 class DriveBay:
     """One drive slot of the library.
@@ -73,7 +77,7 @@ class DriveBay:
     @property
     def available(self) -> bool:
         """Can this bay accept a dispatch or a mount right now?"""
-        return self.state in (DriveState.EMPTY, DriveState.IDLE)
+        return self.state in AVAILABLE_STATES
 
     def require_drive(self):
         """The mechanism simulator (raises while nothing is mounted)."""

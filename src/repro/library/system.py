@@ -70,7 +70,7 @@ from repro.exceptions import LibraryError, UnknownTape
 from repro.library import events as sim
 from repro.library.aging import MediaAgingModel
 from repro.library.cartridge import Cartridge, DEFAULT_EXCHANGE_SECONDS
-from repro.library.drives import DriveBay, DriveState
+from repro.library.drives import AVAILABLE_STATES, DriveBay, DriveState
 from repro.library.kernel import EventKernel
 from repro.library.policies import (
     ArmAssignmentPolicy,
@@ -238,6 +238,9 @@ class MultiDriveSystem(BatchStep):
             assignment=arm_assignment,
         )
         self.bays = [DriveBay(index) for index in range(drives)]
+        #: Bays in an available state, kept by :meth:`_set_state` so a
+        #: pump with every bay busy returns at once.
+        self._available_bays = drives
         self._queues: dict[str, BatchQueue] = {
             label: BatchQueue(policy=self.policy, bus=bus)
             for label in sorted(self._shelf)
@@ -278,7 +281,7 @@ class MultiDriveSystem(BatchStep):
             bay = self.bays[index]
             bay.drive = self._build_drive(self.cartridge(label), index)
             bay.label = label
-            bay.state = DriveState.IDLE
+            self._set_state(bay, DriveState.IDLE)
             self._mount_count += 1
 
     # -- state -------------------------------------------------------------
@@ -498,6 +501,8 @@ class MultiDriveSystem(BatchStep):
         Returns True when any bay was put to work.  ``force`` bypasses
         the batching policy's readiness test (end-of-run drain).
         """
+        if not self._available_bays:
+            return False
         progressed = False
         now = self.kernel.now_seconds
         for bay in self.bays:
@@ -508,7 +513,7 @@ class MultiDriveSystem(BatchStep):
                 continue
             kind, label = action
             if kind == "dispatch":
-                bay.state = DriveState.EXECUTING
+                self._set_state(bay, DriveState.EXECUTING)
                 self.kernel.schedule(
                     now,
                     sim.BatchDispatched(drive=bay.index, label=label),
@@ -520,6 +525,11 @@ class MultiDriveSystem(BatchStep):
                 )
             progressed = True
         return progressed
+
+    def _set_state(self, bay: DriveBay, state: DriveState) -> None:
+        """Move ``bay`` to ``state``, keeping the available-bay count."""
+        self._available_bays += (state in AVAILABLE_STATES) - bay.available
+        bay.state = state
 
     def _choose_action(
         self, bay: DriveBay, now: float, force: bool
@@ -580,7 +590,7 @@ class MultiDriveSystem(BatchStep):
             self._pending_unload[bay.index] = (
                 unload_label, rewind_seconds
             )
-        bay.state = DriveState.MOUNTING
+        self._set_state(bay, DriveState.MOUNTING)
         bay.label = None
         bay.drive = None
         self.robot.submit(
@@ -648,7 +658,7 @@ class MultiDriveSystem(BatchStep):
             self.cartridge(event.label), event.drive
         )
         bay.label = event.label
-        bay.state = DriveState.IDLE
+        self._set_state(bay, DriveState.IDLE)
         bay.mounts += 1
         self._mount_count += 1
         self._claims.pop(event.label, None)
@@ -686,7 +696,7 @@ class MultiDriveSystem(BatchStep):
             and len(self._queues[event.label])
         ):
             self._preempt_mounts.discard(event.label)
-            bay.state = DriveState.EXECUTING
+            self._set_state(bay, DriveState.EXECUTING)
             self.kernel.schedule(
                 now,
                 sim.BatchDispatched(
@@ -703,7 +713,7 @@ class MultiDriveSystem(BatchStep):
         bay = self.bays[event.drive]
         batch = self._queues[event.label].flush()
         if not batch:  # pragma: no cover - queues only grow pre-flush
-            bay.state = DriveState.IDLE
+            self._set_state(bay, DriveState.IDLE)
             self._pump()
             return
         flight = self._dispatch_batch(
@@ -735,7 +745,7 @@ class MultiDriveSystem(BatchStep):
             partial(self._requeue, event.label),
         )
         bay = self.bays[event.drive]
-        bay.state = DriveState.IDLE
+        self._set_state(bay, DriveState.IDLE)
         bay.batches += 1
         self._pump()
 

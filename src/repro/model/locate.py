@@ -164,22 +164,11 @@ class LocateTimeModel:
         accounting of :mod:`repro.drive.wear` — tape lifetime is rated
         in head passes (the paper's Section 2: 500,000 passes for DLT).
         """
-        geo = self.geometry
-        sources = np.asarray(source, dtype=np.int64)
-        destinations = np.asarray(destinations, dtype=np.int64)
-        src_phys = geo.phys_of(sources)
-        dst_phys = geo.phys_of(destinations)
-        read_through = (
-            (geo.track_of(sources) == geo.track_of(destinations))
-            & (destinations >= sources)
-            & (
-                geo.ordinal_section_of(destinations)
-                - geo.ordinal_section_of(sources)
-                <= 2
-            )
+        src_phys, dst_phys, read_through, target, _ = self._resolve(
+            np.asarray(source, dtype=np.int64),
+            np.asarray(destinations, dtype=np.int64),
         )
         direct = np.abs(dst_phys - src_phys)
-        target = geo.scan_target_phys(destinations)
         via_target = np.abs(target - src_phys) + np.abs(dst_phys - target)
         return np.where(read_through, direct, via_target)
 
@@ -204,40 +193,50 @@ class LocateTimeModel:
 
     # -- core ----------------------------------------------------------------
 
+    def _resolve(self, sources, destinations):
+        """Per-pair geometry of a locate, from one section lookup per end.
+
+        Returns ``(src_phys, dst_phys, read_through, target, dst)``:
+        both physical positions, the case-1 mask, the scan target of
+        each destination and the destinations' section rows.
+        """
+        geo = self.geometry
+        table = geo.sections
+        # One intp conversion per end: numpy gathers with a uint16 index
+        # convert it on every call.
+        src = geo.section_index(sources).astype(np.intp)
+        dst = geo.section_index(destinations).astype(np.intp)
+        base, pivot, slope, gid = (
+            table.base, table.pivot, table.slope, table.gid
+        )
+        src_phys = base[src] + (sources - pivot[src]) * slope[src]
+        dst_phys = base[dst] + (destinations - pivot[dst]) * slope[dst]
+        # Case 1: same track, destination at/ahead within the read-ahead
+        # window of two following sections -> read straight through.
+        # Sections of different tracks are more than two ids apart.
+        read_through = (destinations >= sources) & (gid[dst] - gid[src] <= 2)
+        return src_phys, dst_phys, read_through, table.target[dst], dst
+
     def _times(self, sources, destinations) -> np.ndarray:
         """Broadcasted locate-time computation.
 
         ``sources`` and ``destinations`` are int64 arrays (any mutually
         broadcastable shapes).
         """
-        geo = self.geometry
-        src_track = geo.track_of(sources)
-        dst_track = geo.track_of(destinations)
-        src_phys = geo.phys_of(sources)
-        dst_phys = geo.phys_of(destinations)
-        src_soi = geo.ordinal_section_of(sources)
-        dst_soi = geo.ordinal_section_of(destinations)
-
-        # Case 1: same track, destination at/ahead within the read-ahead
-        # window of two following sections -> read straight through.
-        read_through = (
-            (src_track == dst_track)
-            & (destinations >= sources)
-            & (dst_soi - src_soi <= 2)
+        src_phys, dst_phys, read_through, target, dst = self._resolve(
+            sources, destinations
         )
         read_through_time = (
             np.abs(dst_phys - src_phys) * self.read_seconds_per_section
         )
 
         # Cases 2-7: scan to the key point two before the destination,
-        # then read forward to it.
-        target = geo.scan_target_phys(destinations)
-        scan_dist = np.abs(target - src_phys)
+        # then read forward to it; the scan reverses when it runs
+        # against the destination track's read direction.
+        ahead = target - src_phys
+        scan_dist = np.abs(ahead)
         read_dist = np.abs(dst_phys - target)
-        read_dir = geo.direction_of(destinations).astype(np.float64)
-        reversal = (scan_dist > 1e-12) & (
-            np.sign(target - src_phys) != read_dir
-        )
+        reversal = ahead * self.geometry.sections.direction[dst] < -1e-12
         scan_time = (
             self.reposition_seconds
             + scan_dist * self.scan_seconds_per_section

@@ -167,8 +167,11 @@ class EventBus:
     def publish(self, event: Event) -> None:
         """Deliver one event to every matching subscriber, in order.
 
-        Subscribers added or removed by a handler take effect from the
-        *next* publish (delivery iterates a snapshot).
+        Delivery iterates a snapshot of the subscriptions taken when the
+        publish starts, so a subscriber added by a handler first sees
+        the *next* event.  A subscription closed by a handler is skipped
+        at once: if it comes later in the snapshot, it misses the
+        current event too.
         """
         self.events_published += 1
         for subscription in tuple(self._subscriptions):

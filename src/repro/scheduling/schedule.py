@@ -61,12 +61,19 @@ class Schedule:
     def is_permutation_of(self, requests: Sequence[Request]) -> bool:
         """True if this schedule contains exactly the given requests.
 
-        Compares ``(segment, length)`` tuples, which is what
-        :class:`Request` equality and order are defined over; sorting
-        tuples skips the dataclass's Python-level ``__lt__``.
+        A scheduler reorders the batch's own objects, so the common case
+        is settled in O(n) by identity: both hold the same n distinct
+        objects.  Otherwise it compares ``(segment, length)`` tuples,
+        which is what :class:`Request` equality and order are defined
+        over; sorting tuples skips the dataclass's Python-level
+        ``__lt__``.
         """
-        if len(self.requests) != len(requests):
+        count = len(self.requests)
+        if count != len(requests):
             return False
+        mine = set(map(id, self.requests))
+        if len(mine) == count and mine == set(map(id, requests)):
+            return True
         return sorted(map(_KEY, self.requests)) == sorted(
             map(_KEY, requests)
         )

@@ -142,6 +142,38 @@ class TestServing:
         for bay in system.bays:
             assert bay.state in (DriveState.IDLE, DriveState.EMPTY)
 
+    @pytest.mark.parametrize("preempt", [False, True])
+    def test_available_bay_count_tracks_every_transition(self, preempt):
+        system = MultiDriveSystem(
+            shelf(3),
+            drives=2,
+            preload=["tape-1"],
+            exchange=(
+                PreemptOnDeadlineExchange(preempt_wait_seconds=30.0)
+                if preempt else None
+            ),
+            policy=BatchPolicy(max_batch=2, flush_when_idle=False),
+        )
+
+        def counted() -> int:
+            return sum(bay.available for bay in system.bays)
+
+        assert system._available_bays == counted() == 2
+        pump = system._pump
+        seen = []
+
+        def checked_pump(force=False):
+            seen.append((system._available_bays, counted()))
+            return pump(force)
+
+        system._pump = checked_pump
+        system.run(burst(system.labels(), per_tape=6, spacing_seconds=3.0))
+        assert system.lost == 0
+        assert seen and all(kept == actual for kept, actual in seen)
+        # Some pumps found every bay busy.
+        assert any(kept == 0 for kept, _ in seen)
+        assert system._available_bays == counted() == 2
+
     def test_batch_records_carry_bay_and_tape(self):
         system = MultiDriveSystem(shelf(2), drives=2)
         system.run(burst(system.labels(), per_tape=3))

@@ -135,6 +135,21 @@ class TestLifecycle:
         bus.publish(second)
         assert late == [second]
 
+    def test_unsubscribe_by_handler_skips_the_current_event(self):
+        bus = EventBus()
+        later = []
+
+        def close_later(event):
+            subscription.close()
+
+        bus.subscribe(close_later)
+        subscription = bus.subscribe(later.append)
+        bus.publish(hit())
+        assert later == []  # closed before its turn in the snapshot
+        bus.publish(hit(segment=2))
+        assert later == []
+        assert bus.subscriber_count == 1
+
     def test_handler_exceptions_propagate(self):
         bus = EventBus()
 

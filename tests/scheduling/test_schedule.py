@@ -31,6 +31,27 @@ class TestSchedule:
             [Request(1), Request(3), Request(3)]
         )
 
+    def test_permutation_check_by_identity(self):
+        batch = [Request(3), Request(1), Request(3, length=2)]
+        schedule = make(reversed(batch))
+        assert schedule.is_permutation_of(batch)
+        # One of the batch's objects dropped, another taken twice.
+        twice = make([batch[0], batch[0], batch[1]])
+        assert not twice.is_permutation_of(batch)
+        # An extra object in place of one of the batch's.
+        extra = make([batch[0], batch[1], Request(7)])
+        assert not extra.is_permutation_of(batch)
+        # Equal values in other objects still count.
+        assert make(
+            [Request(1), Request(3, length=2), Request(3)]
+        ).is_permutation_of(batch)
+        # The same object listed twice on both sides.
+        shared = Request(5)
+        assert make([shared, shared]).is_permutation_of([shared, shared])
+        assert not make([shared, shared]).is_permutation_of(
+            [shared, Request(6)]
+        )
+
     def test_permutation_check_same_length(self):
         schedule = make([Request(1), Request(3), Request(3)])
         # One request duplicated, another dropped.
